@@ -73,26 +73,22 @@ def pytest_terminal_summary(terminalreporter):
                     f"  {point['events_per_second']:>10,.0f}"
                     f"  {point['wall_seconds']:>8.2f}"
                     f"  {point['peak_rss_kb'] / 1024:>11,.0f}")
-        # Algorithm 2 tick cost of the profiled 10^5-node run (PR 9)
+        # Algorithm 2 tick cost of the profiled 10^5-node run
         sched = record.get("scheduler")
-        if sched:
+        if sched and "charge_batches" in sched:
             terminalreporter.write_line(
                 f"scheduler tick (10^5 profile): {sched['ticks']:,} "
                 f"ticks at {sched['mean_tick_us']:,.0f}us, "
-                f"{sched['charges']:,} charges "
-                f"({sched['charges_per_second']:,.0f}/s), "
-                f"{sched['static_rate_hits']:,} static-rate hits, "
-                f"{sched['scalar_fallbacks']} scalar fallbacks, "
+                f"{sched['charge_batches']:,} charge batches, "
                 f"{sched['profile_share']:.1%} of run wall")
-        # dispatch-plane cost of the profiled 10^5-node run (PR 10)
+        # dispatch-plane cost of the profiled 10^5-node run
         disp = record.get("dispatch")
-        if disp:
+        if disp and "scalar_dispatches" in disp:
             terminalreporter.write_line(
                 f"dispatch plane (10^5 profile): {disp['acquires']:,} "
                 f"acquires in {disp['bulk_batches']:,} bulk batches, "
-                f"{disp['bulk_passes']:,}/{disp['dispatches']:,} bulk "
-                f"passes at {disp['mean_pairing_us']:,.0f}us pairing, "
-                f"{disp['scalar_fallbacks']} scalar fallbacks, "
+                f"{disp['scalar_dispatches']:,}/{disp['dispatches']:,} "
+                f"dispatches scalar, "
                 f"{disp['ghost_compactions']} ghost compactions, "
                 f"{disp['profile_share']:.1%} of run wall")
     # world-assembly skeleton cache (per-process; filled by the sweep)

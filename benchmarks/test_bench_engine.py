@@ -24,11 +24,6 @@ import pstats
 import resource
 import time
 
-from repro.core.scheduler import SCHED_TELEMETRY, reset_sched_telemetry
-from repro.economics.billing import BILLING_STATS, reset_billing_stats
-from repro.economics.pricing import RATE_STATS, reset_rate_stats
-from repro.infra.pool import POOL_STATS, reset_pool_stats
-from repro.middleware.base import DISPATCH_STATS, reset_dispatch_stats
 from repro.experiments import (
     DCISpec,
     ExecutionConfig,
@@ -234,14 +229,9 @@ def _scale_sweep_and_profile(scale):
               f"{res.events / res.wall_seconds:,.0f} events/s "
               f"(outer wall {wall:.2f}s, rss {_peak_rss_kb():,} KB)")
 
-    # profile the 10^5-node scenario end to end (world assembly + run),
-    # with the scheduler/billing telemetry zeroed so the counters below
-    # describe exactly this run
-    reset_sched_telemetry()
-    reset_billing_stats()
-    reset_rate_stats()
-    reset_pool_stats()
-    reset_dispatch_stats()
+    # profile the 10^5-node scenario end to end (world assembly + run);
+    # the scheduler and dispatch counters below are read off this
+    # profile's call counts and cumulative times
     profiler = cProfile.Profile()
     profiler.enable()
     res = run_federated(_federated_config(SCALE_NODES[-1]))
@@ -256,35 +246,33 @@ def _scale_sweep_and_profile(scale):
         fh.write(top30)
     print(f"[profile saved to {_PROFILE_PATH}]")
 
-    # Algorithm 2 tick cost: core/scheduler.py's cumulative share of
-    # the profiled run wall (the ROADMAP contract keeps it under 20%)
-    tick_cum = sum(
-        ct for (fname, _lineno, func), (_cc, _nc, _tt, ct, _callers)
-        in stats.stats.items()
-        if func == "_tick" and fname.replace(os.sep, "/").endswith(
-            "core/scheduler.py"))
+    def _profile_key(name, tail):
+        for key in stats.stats:
+            fname, _lineno, func = key
+            if func == name and fname.replace(os.sep, "/").endswith(tail):
+                return key
+        return None
+
+    def _ncalls(name, tail):
+        key = _profile_key(name, tail)
+        return stats.stats[key][1] if key is not None else 0
+
+    # Algorithm 2 tick cost: core/scheduler.py _tick's call count and
+    # cumulative time, and its share of the profiled run wall
+    tick_key = _profile_key("_tick", "core/scheduler.py")
+    ticks, tick_cum = ((stats.stats[tick_key][1], stats.stats[tick_key][3])
+                       if tick_key is not None else (0, 0.0))
     sched_share = tick_cum / res.wall_seconds
-    ticks = SCHED_TELEMETRY["ticks"]
-    charges = BILLING_STATS["charges"]
     scheduler_section = {
         "ticks": ticks,
-        "tick_wall_seconds": round(SCHED_TELEMETRY["tick_wall"], 3),
-        "mean_tick_us": round(
-            SCHED_TELEMETRY["tick_wall"] / max(1, ticks) * 1e6, 1),
-        "scalar_fallbacks": SCHED_TELEMETRY["scalar_fallbacks"],
-        "charges": charges,
-        "charge_batches": BILLING_STATS["batches"],
-        "charges_per_second": round(charges / res.wall_seconds, 1),
-        "static_rate_hits": RATE_STATS["hits"],
-        "rate_resolves": RATE_STATS["resolves"],
+        "tick_wall_seconds": round(tick_cum, 3),
+        "mean_tick_us": round(tick_cum / max(1, ticks) * 1e6, 1),
+        "charge_batches": _ncalls("charge_many", "economics/billing.py"),
         "profile_share": round(sched_share, 4),
     }
     print(f"[scheduler] {ticks:,} ticks, "
           f"{scheduler_section['mean_tick_us']:.0f}us/tick, "
-          f"{charges:,} charges "
-          f"({scheduler_section['charges_per_second']:,.0f}/s), "
-          f"{RATE_STATS['hits']:,} static-rate cache hits, "
-          f"{SCHED_TELEMETRY['scalar_fallbacks']} scalar fallbacks, "
+          f"{scheduler_section['charge_batches']:,} charge batches, "
           f"{sched_share:.1%} of the profiled run wall")
 
     # dispatch-plane cost: the fraction of the profiled wall (the
@@ -302,13 +290,6 @@ def _scale_sweep_and_profile(scale):
     #     whether the scalar loop or the bulk pass produced it, so its
     #     subtree is subtracted back out: a model that assigns more
     #     tasks should not read as a slower dispatcher.
-    def _profile_key(name, tail):
-        for key in stats.stats:
-            fname, _lineno, func = key
-            if func == name and fname.replace(os.sep, "/").endswith(tail):
-                return key
-        return None
-
     disp_key = _profile_key("_dispatch", "middleware/base.py")
     scalar_key = _profile_key("_dispatch_scalar", "middleware/base.py")
     acq_key = _profile_key("acquire", "infra/pool.py")
@@ -327,24 +308,20 @@ def _scale_sweep_and_profile(scale):
                             if caller in (disp_key, scalar_key))
     dispatch_cum = max(0.0, dispatch_cum)
     dispatch_share = dispatch_cum / stats.total_tt
-    bulk = DISPATCH_STATS["bulk"]
     dispatch_section = {
-        "acquires": POOL_STATS["acquires"],
-        "bulk_batches": POOL_STATS["bulk_batches"],
-        "dispatches": DISPATCH_STATS["dispatches"],
-        "bulk_passes": bulk,
-        "scalar_fallbacks": DISPATCH_STATS["scalar_fallbacks"],
-        "mean_pairing_us": round(
-            DISPATCH_STATS["pairing_wall"] / max(1, bulk) * 1e6, 1),
-        "ghost_compactions": POOL_STATS["ghost_compactions"],
+        "acquires": _ncalls("_draw", "infra/pool.py"),
+        "bulk_batches": _ncalls("acquire_many", "infra/pool.py"),
+        "dispatches": _ncalls("_dispatch", "middleware/base.py"),
+        "scalar_dispatches": _ncalls("_dispatch_scalar",
+                                     "middleware/base.py"),
+        "ghost_compactions": _ncalls("_compact_ghosts", "infra/pool.py"),
         "profile_share": round(dispatch_share, 4),
     }
-    print(f"[dispatch] {POOL_STATS['acquires']:,} acquires in "
-          f"{POOL_STATS['bulk_batches']:,} bulk batches, "
-          f"{bulk:,}/{DISPATCH_STATS['dispatches']:,} bulk passes "
-          f"({dispatch_section['mean_pairing_us']:.0f}us pairing, "
-          f"{DISPATCH_STATS['scalar_fallbacks']} scalar fallbacks), "
-          f"{POOL_STATS['ghost_compactions']} ghost compactions, "
+    print(f"[dispatch] {dispatch_section['acquires']:,} acquires in "
+          f"{dispatch_section['bulk_batches']:,} bulk batches, "
+          f"{dispatch_section['scalar_dispatches']:,}/"
+          f"{dispatch_section['dispatches']:,} dispatches scalar, "
+          f"{dispatch_section['ghost_compactions']} ghost compactions, "
           f"pairing share {dispatch_share:.1%} of the profiled run wall")
 
     _merge_payload({

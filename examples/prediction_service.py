@@ -15,7 +15,7 @@ Run:  python examples/prediction_service.py
 
 from repro.core.info import InformationModule
 from repro.core.oracle import fit_alpha, prediction_success
-from repro.core.storage import ExecutionRecord, SQLiteHistoryStore
+from repro.history.records import ExecutionRecord, SQLiteHistoryStore
 from repro.experiments import ExecutionConfig, run_campaign
 
 ENV = ("nd", "xwhep", "SMALL")

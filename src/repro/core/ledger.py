@@ -22,8 +22,8 @@ Sync contract (load-bearing): the ledger columns are the scan's
 working state, and the handle objects' attributes are kept *exactly*
 mirrored — every mutation of ``billed_busy`` / ``last_busy`` /
 ``ever_assigned`` / ``stopped`` goes through a ledger method
-(:meth:`set_billed`, :meth:`touch_busy`, :meth:`mark_stopped`, and
-their bulk forms), which writes both sides.  External readers (tests,
+(:meth:`set_billed`, :meth:`touch_busy_bulk`, :meth:`mark_stopped`, and
+:meth:`set_billed_bulk`), which writes both sides.  External readers (tests,
 reports) keep seeing plain handle attributes; writing a handle
 attribute directly would desync the columns and is therefore reserved
 to this module.  Charge *order* is equally load-bearing: bulk indices
@@ -122,14 +122,6 @@ class HandleLedger:
         handles = self.handles
         for i, total in zip(idx.tolist(), totals.tolist()):
             handles[i].billed_busy = total
-
-    def touch_busy(self, handle, now: float) -> None:
-        """Scalar busy-mark (the reference per-handle loop)."""
-        i = handle.ledger_index
-        self.ever_assigned[i] = True
-        self.last_busy[i] = now
-        handle.ever_assigned = True
-        handle.last_busy = now
 
     def touch_busy_bulk(self, idx: np.ndarray, now: float) -> None:
         """Mark the tick's busy handles (assignment + idle tracking)."""

@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -82,20 +81,7 @@ from repro.middleware.base import DGServer
 from repro.simulator.engine import PRIORITY_MONITOR, Event, Simulation
 
 __all__ = ["SchedulerConfig", "QoSRun", "SpeQuloSScheduler",
-           "CloudArbiter", "ARBITRATION_POLICIES", "SCHED_TELEMETRY",
-           "reset_sched_telemetry"]
-
-#: per-tick telemetry (process-wide, reset by the engine bench):
-#: ``ticks`` = scheduler ticks run, ``tick_wall`` = wall seconds spent
-#: inside ``_tick``, ``scalar_fallbacks`` = billing scans routed to the
-#: exact per-handle replay because a tick might exhaust the escrow.
-SCHED_TELEMETRY = {"ticks": 0, "tick_wall": 0.0, "scalar_fallbacks": 0}
-
-
-def reset_sched_telemetry() -> None:
-    SCHED_TELEMETRY["ticks"] = 0
-    SCHED_TELEMETRY["tick_wall"] = 0.0
-    SCHED_TELEMETRY["scalar_fallbacks"] = 0
+           "CloudArbiter", "ARBITRATION_POLICIES"]
 
 
 @dataclass(frozen=True)
@@ -369,7 +355,6 @@ class SpeQuloSScheduler:
     # monitor loop (Algorithms 1 and 2)
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        t0 = perf_counter()
         self._tick_ev = None
         runs: Sequence[QoSRun] = list(self.runs.values())
         if self.arbiter is not None:
@@ -392,8 +377,6 @@ class SpeQuloSScheduler:
                 self._bill_and_manage(run)
         if active:
             self._ensure_ticking()
-        SCHED_TELEMETRY["ticks"] += 1
-        SCHED_TELEMETRY["tick_wall"] += perf_counter() - t0
 
     # ------------------------------------------------------------------
     def _launch(self, run: QoSRun) -> None:
@@ -448,12 +431,6 @@ class SpeQuloSScheduler:
         run.started_at = self.sim.now
 
     # ------------------------------------------------------------------
-    def _handle_busy(self, run: QoSRun, handle: CloudWorkerHandle) -> bool:
-        if handle.deploy_mode == DEPLOY_CLOUD_DUP:
-            assert run.coordinator is not None
-            return run.coordinator.busy(handle.node)
-        return run.server.is_busy(handle.node)
-
     def _busy_seconds(self, run: QoSRun, handle: CloudWorkerHandle) -> float:
         if handle.deploy_mode == DEPLOY_CLOUD_DUP:
             assert run.coordinator is not None
@@ -483,60 +460,67 @@ class SpeQuloSScheduler:
             return run.coordinator.usage_of(node_ids, self.sim.now)
         return run.server.cloud_usage_of(node_ids, self.sim.now)
 
+    def _charge_live(self, run: QoSRun, live: np.ndarray,
+                     totals: Sequence[float]) -> int:
+        """Charge every positive busy delta of the live handles as one
+        :meth:`~repro.economics.billing.BillingMeter.charge_many` batch,
+        in ascending handle order, and advance their billed totals.
+
+        Returns the position in ``live`` of the first charge the escrow
+        could not cover (its handle is billed, later ones are not), or
+        -1 when every charge was covered.
+        """
+        ledger = run.ledger
+        totals = np.asarray(totals, dtype=np.float64)
+        deltas = totals - ledger.billed_busy[live]
+        charge_mask = deltas > 0.0
+        pos = deltas[charge_mask]
+        if pos.size == 0:
+            return -1
+        fail = self.meter.charge_many(run.bot_id, run.driver.name,
+                                      pos.tolist(), self.sim.now)
+        if pos.size == live.size:   # steady state: all charged
+            idx, charged = live, totals
+        else:
+            idx, charged = live[charge_mask], totals[charge_mask]
+        if fail < 0:
+            ledger.set_billed_bulk(idx, charged)
+            return -1
+        ledger.set_billed_bulk(idx[:fail + 1], charged[:fail + 1])
+        return int(np.flatnonzero(charge_mask)[fail])
+
     def _bill_and_manage(self, run: QoSRun) -> None:
-        """Algorithm 2, columnar: one vectorized busy-delta pass.
+        """Algorithm 2, columnar: bill, release idle workers, stop
+        everything once the escrow runs dry.
 
-        Equivalence to the per-handle reference
-        (:meth:`_bill_and_manage_scalar`, pinned by
-        ``tests/test_ledger_billing.py``):
-
-        * the usage snapshot may be taken upfront because stopping a
-          handle never changes another handle's busy accounting within
-          the tick;
-        * charging all positive deltas first (ascending handle order,
-          via :meth:`~repro.economics.billing.BillingMeter.charge_many`)
-          is the reference ``credits.bill`` sequence exactly, because a
-          grace-stop's settlement re-bill always sees ``delta == 0``
-          (the tick's charge already advanced ``billed_busy`` to the
-          snapshot total) — the only reordering risk is the exhaustion
-          teardown, whose interleaving *does* matter;
-        * therefore a tick that could exhaust the escrow (conservative
-          pre-charge bound below) is routed to the scalar replay
-          instead, keeping that path byte-identical too.
+        Equivalent to the historical per-handle loop (bill a handle,
+        then touch it if busy or release it past its idle grace, stop
+        the run at the first uncovered charge — the reference in
+        ``tests/oracles/billing.py``) because stopping a handle never
+        changes another handle's busy accounting within a tick, and
+        the settlement re-bill of a grace stop always sees a zero
+        delta.  Charging first in handle order therefore yields the
+        same ``credits.bill`` sequence; on a shortfall only the handles
+        the loop reached before it are managed, then :meth:`stop_all`
+        settles the rest.
         """
         ledger = run.ledger
         live = ledger.live_indices()
         if live.size == 0:
             return
-        now = self.sim.now
         totals, busy = self._usage_snapshot(run, ledger.live_node_ids())
-        totals = np.asarray(totals, dtype=np.float64)
-        deltas = totals - ledger.billed_busy[live]
-        charge_mask = deltas > 0.0
-        pos = deltas[charge_mask]
-        if pos.size:
-            rate = self.meter.rate_for(run.driver.name, now)
-            asked_bound = float(pos.sum()) * rate / 3600.0
-            if (self.meter.remaining_for(run.bot_id)
-                    < asked_bound * (1.0 + 1e-9) + 1e-9):
-                # the escrow might clamp a charge — replay the exact
-                # historical loop (settlement interleaving matters here)
-                SCHED_TELEMETRY["scalar_fallbacks"] += 1
-                self._bill_and_manage_scalar(run)
-                return
-            fail = self.meter.charge_many(run.bot_id, run.driver.name,
-                                          pos.tolist(), now)
-            if pos.size == live.size:   # steady state: all charged
-                idx, charged_totals = live, totals
-            else:
-                idx = live[charge_mask]
-                charged_totals = totals[charge_mask]
-            if fail >= 0:  # pragma: no cover - excluded by the bound
-                ledger.set_billed_bulk(idx[:fail + 1],
-                                       charged_totals[:fail + 1])
-                self.stop_all(run, reason="credits exhausted")
-                return
-            ledger.set_billed_bulk(idx, charged_totals)
+        fail = self._charge_live(run, live, totals)
+        if fail < 0:
+            self._manage_idle(run, live, busy)
+            return
+        self._manage_idle(run, live[:fail], busy[:fail])
+        self.stop_all(run, reason="credits exhausted")
+
+    def _manage_idle(self, run: QoSRun, live: np.ndarray,
+                     busy: Sequence[bool]) -> None:
+        """Touch busy handles; stop idle ones past their grace."""
+        ledger = run.ledger
+        now = self.sim.now
         if False not in busy:           # steady state: nobody idle
             ledger.touch_busy_bulk(live, now)
             return
@@ -545,11 +529,8 @@ class SpeQuloSScheduler:
         if busy_idx.size:
             ledger.touch_busy_bulk(busy_idx, now)
         idle_idx = live[~busy_arr]
-        if idle_idx.size == 0:  # pragma: no cover - caught above
-            return
-        greedy = run.combo.size == SIZE_GREEDY
         idle_grace = self.config.idle_grace
-        if greedy:
+        if run.combo.size == SIZE_GREEDY:
             grace = np.where(~ledger.ever_assigned[idle_idx],
                              self.config.greedy_release_grace,
                              np.inf if idle_grace is None else idle_grace)
@@ -562,33 +543,6 @@ class SpeQuloSScheduler:
             handles = ledger.handles
             for i in idle_idx[stop_mask].tolist():
                 self._stop_handle(run, handles[i])
-
-    def _bill_and_manage_scalar(self, run: QoSRun) -> None:
-        """Algorithm 2, per-handle reference: bill, release idle
-        workers, stop on exhaustion — the historical loop, kept both as
-        the possibly-exhausting-tick path (where the order of tick
-        charges vs teardown settlements is observable in the credit
-        ledger) and as the oracle the property tests replay."""
-        now = self.sim.now
-        greedy = run.combo.size == SIZE_GREEDY
-        ledger = run.ledger
-        for handle in run.handles:
-            if handle.stopped:
-                continue
-            if not self._bill_handle(run, handle):
-                self.stop_all(run, reason="credits exhausted")
-                return
-            if self._handle_busy(run, handle):
-                ledger.touch_busy(handle, now)
-                continue
-            if greedy and not handle.ever_assigned:
-                grace = self.config.greedy_release_grace
-            elif self.config.idle_grace is not None:
-                grace = self.config.idle_grace
-            else:
-                continue
-            if now - handle.last_busy >= grace:
-                self._stop_handle(run, handle)
 
     # ------------------------------------------------------------------
     # stopping
@@ -619,44 +573,18 @@ class SpeQuloSScheduler:
     def _settle_bulk(self, run: QoSRun) -> None:
         """Pre-bill every live handle in one batch before a teardown.
 
-        Same equivalence argument as :meth:`_bill_and_manage`: stopping
-        a handle never changes another handle's busy accounting, so
-        charging all positive deltas upfront (ascending handle order)
-        produces the reference ``credits.bill`` sequence, and each
-        subsequent per-handle settlement in :meth:`_stop_handle` sees
-        ``delta == 0``.  When the escrow might clamp a charge this does
-        nothing — the per-handle settlements then clamp in the exact
-        historical interleaving.
+        Stopping a handle never changes another handle's busy
+        accounting, so the batch is the per-handle settlement sequence
+        of :meth:`_stop_handle`, which then sees ``delta == 0`` — up to
+        a shortfall, after which the handles not yet billed settle one
+        by one there, clamped in the historical order.
         """
         ledger = run.ledger
         live = ledger.live_indices()
         if live.size == 0:
             return
-        now = self.sim.now
         totals, _busy = self._usage_snapshot(run, ledger.live_node_ids())
-        totals = np.asarray(totals, dtype=np.float64)
-        deltas = totals - ledger.billed_busy[live]
-        charge_mask = deltas > 0.0
-        pos = deltas[charge_mask]
-        if pos.size == 0:
-            return
-        rate = self.meter.rate_for(run.driver.name, now)
-        asked_bound = float(pos.sum()) * rate / 3600.0
-        if (self.meter.remaining_for(run.bot_id)
-                < asked_bound * (1.0 + 1e-9) + 1e-9):
-            return
-        fail = self.meter.charge_many(run.bot_id, run.driver.name,
-                                      pos.tolist(), now)
-        if pos.size == live.size:
-            idx, charged_totals = live, totals
-        else:
-            idx = live[charge_mask]
-            charged_totals = totals[charge_mask]
-        if fail >= 0:  # pragma: no cover - excluded by the bound
-            ledger.set_billed_bulk(idx[:fail + 1],
-                                   charged_totals[:fail + 1])
-            return
-        ledger.set_billed_bulk(idx, charged_totals)
+        self._charge_live(run, live, totals)
 
     def stop_all(self, run: QoSRun, reason: str) -> None:
         """Stop every Cloud worker of the run (exhaustion/completion)."""

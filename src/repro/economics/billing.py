@@ -29,17 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from repro.economics.pricing import ONDEMAND, PriceBook
 
-__all__ = ["BillingMeter", "BILLING_STATS", "reset_billing_stats"]
-
-#: charge telemetry (process-wide): ``charges`` = individual usage
-#: charges priced (scalar or batched), ``batches`` = charge_many calls.
-#: The engine bench reports charges/sec from these.
-BILLING_STATS = {"charges": 0, "batches": 0}
-
-
-def reset_billing_stats() -> None:
-    BILLING_STATS["charges"] = 0
-    BILLING_STATS["batches"] = 0
+__all__ = ["BillingMeter"]
 
 
 class BillingMeter:
@@ -90,7 +80,6 @@ class BillingMeter:
                 self.spent_by_provider.get(provider, 0.0) + billed
         self.cpu_seconds_by_provider[provider] = \
             self.cpu_seconds_by_provider.get(provider, 0.0) + busy_seconds
-        BILLING_STATS["charges"] += 1
         return billed, asked
 
     def charge_many(self, bot_id: str, provider: str,
@@ -98,11 +87,13 @@ class BillingMeter:
                     tier: str = ONDEMAND) -> int:
         """Bill one provider's workers for one tick as a batch.
 
-        Byte-identical to calling :meth:`charge` once per delta in
-        order: within a tick ``now`` is fixed, so the rate is resolved
-        once and every ``asked`` is the same float the scalar calls
-        would price; the escrow clamping and ledger appends run per
-        delta inside :meth:`CreditSystem.bill_many
+        ``busy_deltas`` must all be positive (the Scheduler charges only
+        handles that computed since the last tick).  Byte-identical to
+        calling :meth:`charge` once per delta in order: within a tick
+        ``now`` is fixed, so the rate is resolved once and every
+        ``asked`` is the same float the scalar calls would price; the
+        escrow clamping and ledger appends run per delta inside
+        :meth:`CreditSystem.bill_many
         <repro.core.credit.CreditSystem.bill_many>` (float-identical
         to the repeated ``bill`` calls), and the per-provider totals
         accumulate in the same addition order as the repeated dict
@@ -114,39 +105,21 @@ class BillingMeter:
         shortfall are left uncharged, exactly as the historical loop
         stopped billing once the run was being torn down.
         """
-        rate = self.rate_for(provider, now, tier)
-        BILLING_STATS["batches"] += 1
         if not busy_deltas:
             return -1
-        if min(busy_deltas) > 0:
-            # all-positive batch (the vectorized scan pre-filters):
-            # delta indices map 1:1 onto bill indices
-            billed_seq, fail = self.credits.bill_many(
-                bot_id, [rate * b / 3600.0 for b in busy_deltas],
-                shortfall_tol=1e-9)
-            busy_attempted = busy_deltas
-        else:
-            attempts = [(i, busy_seconds)
-                        for i, busy_seconds in enumerate(busy_deltas)
-                        if busy_seconds > 0]
-            if not attempts:
-                return -1
-            billed_seq, fail = self.credits.bill_many(
-                bot_id, [rate * b / 3600.0 for _, b in attempts],
-                shortfall_tol=1e-9)
-            busy_attempted = [b for _, b in attempts]
-            if fail >= 0:
-                fail = attempts[fail][0]
+        rate = self.rate_for(provider, now, tier)
+        billed_seq, fail = self.credits.bill_many(
+            bot_id, [rate * b / 3600.0 for b in busy_deltas],
+            shortfall_tol=1e-9)
         spent = self.spent_by_provider.get(provider, 0.0)
         cpu = self.cpu_seconds_by_provider.get(provider, 0.0)
-        for j, billed in enumerate(billed_seq):
+        for billed, busy_seconds in zip(billed_seq, busy_deltas):
             if billed:
                 spent = spent + billed
-            cpu = cpu + busy_attempted[j]
+            cpu = cpu + busy_seconds
         if spent:
             self.spent_by_provider[provider] = spent
         self.cpu_seconds_by_provider[provider] = cpu
-        BILLING_STATS["charges"] += len(billed_seq)
         return fail
 
     # ------------------------------------------------------- credit view

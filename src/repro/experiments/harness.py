@@ -65,6 +65,7 @@ from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
+from repro.middleware import resolve_server
 from repro.middleware.base import DGServer
 from repro.simulator.engine import Simulation
 
@@ -112,20 +113,16 @@ class _CacheEntry:
 class TraceCache:
     """Two-tier cache of materialized trace realizations (raw arrays).
 
-    L1: in-process LRU of raw per-node arrays.  L2: the shared
+    L1: in-process LRU of realizations.  L2: the shared
     content-addressed on-disk :class:`~repro.experiments.trace_store.
     TraceStore` (disabled under ``REPRO_NO_CACHE=1``).  All cached
-    arrays are read-only; Node rebuilds share them zero-copy.
+    arrays are read-only; Node and column rebuilds share them
+    zero-copy.  Derived per-execution state (columns templates, pool
+    filings) lives one level up, in :class:`AssemblyCache`.
     """
 
     def __init__(self) -> None:
         self._entries: "OrderedDict[_TraceKey, _CacheEntry]" = OrderedDict()
-        #: columnar form of an entry, built lazily on first columnar
-        #: request and evicted together with its raw entry
-        self._columns: dict[_TraceKey, NodeColumns] = {}
-        #: t=0 pool filing skeleton per columns template, captured on
-        #: the first pool build and evicted with its raw entry
-        self._filings: dict[_TraceKey, dict] = {}
         self.hits = 0
         self.misses = 0       # L1 misses (may still hit disk)
         self.disk_hits = 0    # L1 misses served by the on-disk store
@@ -144,64 +141,22 @@ class TraceCache:
         the DCI index so same-trace DCIs realize independently); the
         empty stream reproduces the historical single-DCI layout.
         """
-        raw = self._raw_for((trace, (seed, *stream), cap, horizon))
+        raw = self._entry_for((trace, (seed, *stream), cap, horizon)).raw
         return [Node(i, power, starts, ends, tag=tag)
                 for i, (starts, ends, power, tag) in enumerate(raw)]
 
-    def materialize_columns(self, trace: str, seed: int, cap: int,
-                            horizon: float,
-                            stream: Sequence[int] = ()) -> NodeColumns:
-        """One realization as columnar storage (the pool's fast path).
-
-        The flattened :class:`~repro.infra.columns.NodeColumns` form is
-        built once per cache entry and shared; each call returns a
-        :meth:`~repro.infra.columns.NodeColumns.fresh` per-execution
-        instance (immutable interval/offset/power columns zero-copy,
-        its own cursor array), so warm executions skip the per-node
-        object rebuild entirely.
+    def columns_template(self, trace: str, seed: int, cap: int,
+                         horizon: float,
+                         stream: Sequence[int] = ()) -> NodeColumns:
+        """One realization as an immutable columnar template, built
+        afresh from the cached arrays on every call (the caller keeps
+        it — see :class:`AssemblyCache`; executions run on its
+        :meth:`~repro.infra.columns.NodeColumns.fresh` cursor copies).
         """
-        key = (trace, (seed, *stream), cap, horizon)
-        template = self._columns.get(key)
-        if template is None:
-            entry = self._entry_for(key)
-            if entry.flat is not None:
-                template = NodeColumns.from_flat(*entry.flat)
-            else:
-                template = NodeColumns.from_raw(entry.raw)
-            self._columns[key] = template
-        else:
-            self._entry_for(key)  # LRU touch keeps columns+entry paired
-        return template.fresh()
-
-    def materialize_pool(self, trace: str, seed: int, cap: int,
-                         horizon: float, stream: Sequence[int] = (),
-                         rng: Optional[np.random.Generator] = None
-                         ) -> NodePool:
-        """A freshly filed :class:`~repro.infra.pool.NodePool` over one
-        realization — the ``build_dci`` fast path.
-
-        The t=0 filing of a columns template is deterministic and
-        cursor-independent (only the vectorized
-        ``NodePool._init_columns`` path qualifies — degenerate traces
-        re-file every time), so it is computed once per cache entry and
-        restored onto each execution's fresh cursor copy.  The restored
-        pool is structurally identical to a freshly filed one — same
-        draw-list order, same heaps — so the RNG draw sequence, and
-        every fixed-seed golden, is unchanged.
-        """
-        key = (trace, (seed, *stream), cap, horizon)
-        cols = self.materialize_columns(trace, seed, cap, horizon, stream)
-        filing = self._filings.get(key)
-        if filing is not None:
-            return NodePool.from_filing(cols, filing, rng=rng)
-        pool = NodePool(cols, rng=rng)
-        if pool.vector_filed:
-            self._filings[key] = pool.capture_filing()
-        return pool
-
-    def _raw_for(self, key: _TraceKey) -> _RawNodes:
-        """L1 lookup with LRU accounting (shared by both materializers)."""
-        return self._entry_for(key).raw
+        entry = self._entry_for((trace, (seed, *stream), cap, horizon))
+        if entry.flat is not None:
+            return NodeColumns.from_flat(*entry.flat)
+        return NodeColumns.from_raw(entry.raw)
 
     def _entry_for(self, key: _TraceKey) -> "_CacheEntry":
         entry = self._entries.get(key)
@@ -209,9 +164,7 @@ class TraceCache:
             self.misses += 1
             entry = self._materialize_miss(key)
             while len(self._entries) >= self.capacity():
-                evicted, _ = self._entries.popitem(last=False)
-                self._columns.pop(evicted, None)
-                self._filings.pop(evicted, None)
+                self._entries.popitem(last=False)
                 self.evictions += 1
             self._entries[key] = entry
         else:
@@ -256,8 +209,6 @@ class TraceCache:
 
     def clear(self) -> None:
         self._entries.clear()
-        self._columns.clear()
-        self._filings.clear()
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.disk_hits = self.evictions = 0
@@ -272,20 +223,6 @@ class TraceCache:
                 f"(cap {self.capacity()})")
 
 
-    def columns_template(self, trace: str, seed: int, cap: int,
-                         horizon: float,
-                         stream: Sequence[int] = ()) -> NodeColumns:
-        """The *shared immutable* columns template for one realization
-        (no per-execution cursor copy) — the assembly cache pins this
-        so sweeps larger than the LRU don't thrash templates."""
-        key = (trace, (seed, *stream), cap, horizon)
-        template = self._columns.get(key)
-        if template is None:
-            self.materialize_columns(trace, seed, cap, horizon, stream)
-            template = self._columns[key]
-        return template
-
-
 #: process-wide cache shared by every runner entry point
 TRACE_CACHE = TraceCache()
 
@@ -293,33 +230,18 @@ TRACE_CACHE = TraceCache()
 # ---------------------------------------------------------------------------
 # assembly-skeleton cache (per process)
 # ---------------------------------------------------------------------------
-class _AssemblySkeleton:
-    """Everything :meth:`ScenarioHarness.build_dci` can reuse across
-    executions of one DCI spec: the resolved server class, the shared
-    columns template and the captured t=0 pool filing.  All three are
-    execution-independent; only the simulation, the RNGs and the pool
-    cursors are fresh per run."""
-
-    __slots__ = ("server_cls", "template", "filing")
-
-    def __init__(self, server_cls, template: NodeColumns,
-                 filing: Optional[dict]):
-        self.server_cls = server_cls
-        self.template = template
-        self.filing = filing
-
-
 class AssemblyCache:
     """Per-process cache of world-assembly skeletons.
 
-    One level above the trace cache's pool-filing cache: keyed by the
-    full DCI spec — ``(trace key, middleware, config digest,
-    provider)`` — so repeated sweep shards (the same
-    ``run_federated`` configuration re-executed across seeds of a
-    campaign, or warm bench rounds) skip middleware resolution and the
-    trace-cache lookup chain entirely.  Skeletons pin their columns
-    template beyond the trace LRU; the map is bounded by the number of
-    distinct DCI specs a process touches.
+    Keyed like a trace realization — ``(trace, seed-stream, cap,
+    horizon)`` — a skeleton is the realization's immutable columns
+    template plus its captured t=0 pool filing (``None`` for a
+    degenerate trace, whose filing is not capturable).  Both are
+    execution-independent, so repeated executions over one environment
+    (the strategy grid, sweep shards, warm bench rounds) restore the
+    pool onto a fresh cursor copy instead of re-deriving it.
+    Skeletons pin their template beyond the trace LRU; the map is
+    bounded by the number of distinct realizations a process touches.
     """
 
     def __init__(self) -> None:
@@ -328,23 +250,20 @@ class AssemblyCache:
         self.misses = 0
 
     def skeleton(self, trace: str, seed: int, cap: int, horizon: float,
-                 stream: Sequence[int], middleware: str,
-                 middleware_config, provider: str) -> _AssemblySkeleton:
-        from repro.middleware import resolve_server
-        key = (trace, (seed, *stream), cap, horizon,
-               middleware.lower(), repr(middleware_config), provider)
+                 stream: Sequence[int] = ()
+                 ) -> Tuple[NodeColumns, Optional[dict]]:
+        """``(template, filing)`` for one realization."""
+        key = (trace, (seed, *stream), cap, horizon)
         skel = self._skeletons.get(key)
         if skel is not None:
             self.hits += 1
             return skel
         self.misses += 1
-        server_cls = resolve_server(middleware)
         template = TRACE_CACHE.columns_template(trace, seed, cap,
                                                 horizon, stream)
         probe = NodePool(template.fresh())
         filing = probe.capture_filing() if probe.vector_filed else None
-        skel = _AssemblySkeleton(server_cls, template, filing)
-        self._skeletons[key] = skel
+        skel = self._skeletons[key] = (template, filing)
         return skel
 
     def clear(self) -> None:
@@ -435,24 +354,21 @@ class ScenarioHarness:
                   middleware_config: Optional[object] = None) -> HarnessDCI:
         """Assemble one DCI from its declarative description.
 
-        Served from the :data:`ASSEMBLY_CACHE` skeleton for the spec:
-        a skeleton hit restores the pool from the captured filing onto
-        a fresh cursor copy and constructs the server class directly —
-        structurally identical to the uncached path (same draw-list
-        order, same RNG streams), just without re-deriving anything.
+        The pool comes from the :data:`ASSEMBLY_CACHE` skeleton of the
+        realization: restored from the captured filing onto a fresh
+        cursor copy of the template — structurally identical to a
+        freshly filed pool (same draw-list order, same RNG streams),
+        just without re-deriving it.
         """
-        skel = ASSEMBLY_CACHE.skeleton(trace, seed, cap, self.sim.horizon,
-                                       stream, middleware,
-                                       middleware_config, provider)
+        template, filing = ASSEMBLY_CACHE.skeleton(
+            trace, seed, cap, self.sim.horizon, stream)
         rng = np.random.default_rng([seed, *stream, 0xB00])
-        if skel.filing is not None:
-            pool = NodePool.from_filing(skel.template.fresh(),
-                                        skel.filing, rng=rng)
+        if filing is not None:
+            pool = NodePool.from_filing(template.fresh(), filing, rng=rng)
         else:  # degenerate trace: the filing isn't capturable
-            pool = TRACE_CACHE.materialize_pool(
-                trace, seed, cap, self.sim.horizon, stream, rng=rng)
-        server = skel.server_cls(self.sim, pool, config=middleware_config,
-                                 name=name)
+            pool = NodePool(template.fresh(), rng=rng)
+        server = resolve_server(middleware)(
+            self.sim, pool, config=middleware_config, name=name)
         driver = get_driver(provider, self.sim,
                             rng=np.random.default_rng([seed, *stream, 0xC10]))
         return self.add_dci(name, server, driver, pool)

@@ -8,10 +8,13 @@ regeneration cost the first time it touched a realization.  This module
 is the second tier: every materialized realization is archived as one
 ``.npz`` file next to the campaign result store, keyed by a SHA-256
 digest of ``(trace, seed-stream, cap, horizon)`` plus a *generator
-fingerprint* (a hash of every ``repro/infra`` source file), so shards,
-processes and CI runs share realizations instead of regenerating them,
-and any edit to trace-generation code automatically orphans stale
-entries — exactly the invalidation discipline of the result store.
+fingerprint* (a hash of the ``repro/infra`` modules that produce
+realizations), so shards, processes and CI runs share realizations
+instead of regenerating them, and any edit to trace-generation code
+automatically orphans stale entries — exactly the invalidation
+discipline of the result store.  A torn or undecodable entry counts
+as ``corrupt``: it is deleted and reported as a miss, so the caller
+regenerates it.
 
 Load path: the ``.npz`` members are written uncompressed (``np.savez``
 uses ``ZIP_STORED``), so the big ``starts``/``ends`` arrays are
@@ -56,29 +59,29 @@ TraceKey = Tuple[str, Tuple[int, ...], int, float]
 #: manual escape hatch mirroring the result store's CODE_VERSION
 TRACE_STORE_VERSION = "traces-v1"
 
+#: the ``repro/infra`` modules a realization is produced by: the trace
+#: catalog and everything it draws through.  Consumers of realizations
+#: (``pool.py``, ``columns.py``, ``stats.py``, ``fta.py``) are left out,
+#: so editing them keeps every stored realization valid.
+GENERATOR_SOURCES = ("catalog.py", "gantt.py", "intervals.py", "node.py",
+                     "quantile.py", "renewal.py", "spot.py")
+
 _fingerprint: Optional[str] = None
 
 
 def generator_fingerprint() -> str:
-    """Hash of every trace-generation source file (cached per process).
-
-    Covers the whole ``repro.infra`` package — renewal, gantt, spot,
-    quantile, catalog, intervals, node — so an edit to any generator
-    makes old on-disk realizations unreachable without a manual bump.
-    """
+    """Hash of the trace-generation sources (cached per process), so
+    an edit to any generator makes old on-disk realizations
+    unreachable without a manual bump."""
     global _fingerprint
     if _fingerprint is None:
         infra = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "infra")
         digest = hashlib.sha256(TRACE_STORE_VERSION.encode())
-        for dirpath, _dirs, files in sorted(os.walk(infra)):
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(dirpath, name)
-                digest.update(os.path.relpath(path, infra).encode())
-                with open(path, "rb") as fh:
-                    digest.update(fh.read())
+        for name in GENERATOR_SOURCES:
+            digest.update(name.encode())
+            with open(os.path.join(infra, name), "rb") as fh:
+                digest.update(fh.read())
         _fingerprint = digest.hexdigest()[:12]
     return _fingerprint
 
@@ -150,6 +153,7 @@ class TraceStore:
         self.misses = 0         # lookups that found no file
         self.saves = 0          # realizations written
         self.mmap_fallbacks = 0  # loads that fell back to np.load
+        self.corrupt = 0        # torn/undecodable entries dropped
 
     # ------------------------------------------------------------------
     def path_for(self, key: TraceKey) -> str:
@@ -172,6 +176,22 @@ class TraceStore:
             self.misses += 1
             return None
         try:
+            flat = self._read_flat(path)
+        except (OSError, ValueError, KeyError, EOFError,
+                zipfile.BadZipFile):
+            # torn write or bit rot: drop the entry so the caller
+            # regenerates (and re-archives) the realization
+            self.corrupt += 1
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
+            return None
+        self.loads += 1
+        return flat
+
+    def _read_flat(self, path: str) -> Tuple:
+        try:
             arrays = _mmap_npz(path, ("starts", "ends", "bounds"))
         except Exception:
             self.mmap_fallbacks += 1
@@ -183,7 +203,6 @@ class TraceStore:
         with np.load(path, allow_pickle=False) as npz:
             powers = npz["powers"]
             tags = npz["tags"]
-        self.loads += 1
         return (arrays["starts"], arrays["ends"], arrays["bounds"],
                 powers, tuple(tags.tolist()))
 
@@ -289,6 +308,8 @@ class TraceStore:
                 f"+ {stale} stale entries, {self.file_bytes()} bytes")
         if self.mmap_fallbacks:
             text += f", {self.mmap_fallbacks} mmap fallbacks"
+        if self.corrupt:
+            text += f", {self.corrupt} corrupt entries dropped"
         return text
 
 

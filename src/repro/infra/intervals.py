@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["intersect", "intersect_scalar", "total_length", "validate"]
+__all__ = ["intersect", "total_length", "validate"]
 
 Arr = np.ndarray
 
@@ -48,7 +48,8 @@ def intersect(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
     first with ``s2[j] >= e1[i]`` (both sets are sorted and disjoint,
     so the overlap region is one contiguous run).  Emits the same
     ``(max(start), min(end))`` floats in the same order as the
-    historical two-pointer merge (:func:`intersect_scalar`) — only the
+    historical two-pointer merge (the reference in
+    ``tests/oracles/intervals.py``) — only the
     enumeration is batched.
     """
     s1 = np.asarray(s1, dtype=float)
@@ -71,24 +72,3 @@ def intersect(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
     out_s = np.maximum(s1[i], s2[j])
     out_e = np.minimum(e1[i], e2[j])
     return out_s, out_e
-
-
-def intersect_scalar(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
-    """Two-pointer reference for :func:`intersect` (kept for property
-    tests pinning the vectorized path float-for-float)."""
-    out_s: list[float] = []
-    out_e: list[float] = []
-    i = j = 0
-    n1, n2 = len(s1), len(s2)
-    while i < n1 and j < n2:
-        lo = max(s1[i], s2[j])
-        hi = min(e1[i], e2[j])
-        if hi > lo:
-            out_s.append(float(lo))
-            out_e.append(float(hi))
-        # advance whichever interval ends first
-        if e1[i] <= e2[j]:
-            i += 1
-        else:
-            j += 1
-    return np.asarray(out_s), np.asarray(out_e)

@@ -39,15 +39,15 @@ NumPy arrays instead (the *epoch*): ``_fut_start``/``_fut_id``/
 ``_fut_end`` sorted by ``(start, id)`` with a cursor ``_fut_pos``, and
 ``_stale_end``/``_stale_id`` sorted by ``(end, id)`` with
 ``_stale_pos``.  Promotion and stale sweeping over the epoch are one
-``searchsorted`` cut plus a bulk refile.  Nodes refiled *after* the
-epoch (release/preempt churn) go to small overflow heaps (``_future``,
-``_stale``) exactly as before.  **Draw-order invariant:** the
-historical heaps popped in ascending ``(start, id)`` / ``(end, id)``
-key order — a property of the key multiset, not the heap layout — and
-the epoch arrays are sorted by those same keys, so processing an
-array cut front-to-back, or merging array head against heap head when
-both sides are due (:meth:`_promote_merge`, :meth:`_sweep_merge`),
-re-files nodes in the byte-identical order.  For the same reason a
+``searchsorted`` cut merged against the overflow heaps.  Nodes refiled
+*after* the epoch (release/preempt churn) go to small overflow heaps
+(``_future``, ``_stale``) exactly as before.  **Draw-order
+invariant:** the historical heaps popped in ascending ``(start, id)``
+/ ``(end, id)`` key order — a property of the key multiset, not the
+heap layout — and the epoch arrays are sorted by those same keys, so
+merging the array cut against the due heap entries on that key
+(:meth:`_promote`, :meth:`_sweep_stale`) re-files nodes in the
+byte-identical order.  For the same reason a
 bulk batch of pushes may be replaced by ``extend + heapify``: heapq's
 pop sequence depends only on the key multiset (duplicate keys here are
 fully identical tuples, hence interchangeable).
@@ -104,21 +104,10 @@ import numpy as np
 from repro.infra.columns import ColumnNode, NodeColumns
 from repro.infra.node import Node
 
-__all__ = ["NodePool", "POOL_STATS", "reset_pool_stats"]
+__all__ = ["NodePool"]
 
 #: a pool entry: a columnar node id, or a dynamically added Node
 _Entry = Union[int, Node]
-
-#: dispatch-plane telemetry (reset per profiled run by the benches):
-#: individual weighted draws served, acquire_many batch calls, and
-#: ghost compaction passes over the draw lists
-POOL_STATS = {"acquires": 0, "bulk_batches": 0, "ghost_compactions": 0}
-
-
-def reset_pool_stats() -> None:
-    for key in POOL_STATS:
-        POOL_STATS[key] = 0
-
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
@@ -342,108 +331,50 @@ class NodePool:
     def _promote(self, t: float) -> None:
         """Move nodes whose next interval has started into ready.
 
-        Fast path: when the overflow heap holds nothing due, the due
-        slice of the future epoch is one ``searchsorted`` cut, filed
-        front-to-back — the epoch is sorted by ``(start, id)``, the
-        exact order the historical heap popped the same keys in.  When
-        both the epoch head and the heap head are due they are merged
-        scalar-wise on that key (:meth:`_promote_merge`).
+        The due slice of the future epoch is one ``searchsorted`` cut,
+        merged against the due overflow-heap entries on ``(start, id)``
+        — the order the historical all-heap store popped the same keys
+        in (epoch first on equal keys).  Epoch entries are always
+        columnar ids, never cloud, so their filings are inlined with
+        the stale pushes batched: the stale heap's pop sequence over a
+        key multiset does not depend on its layout.
         """
         fs = self._fut_start
         pos = self._fut_pos
         heap = self._future
-        if pos < fs.shape[0] and fs[pos] <= t:
-            if not heap or heap[0][0] > t:
-                hi = int(np.searchsorted(fs, t, side="right"))
-                self._bulk_promote(pos, hi)
-                self._fut_pos = hi
-            else:
-                self._promote_merge(t)
+        epoch_due = pos < fs.shape[0] and fs[pos] <= t
+        if not epoch_due and not (heap and heap[0][0] <= t):
             return
-        members = self._members
-        while heap and heap[0][0] <= t:
-            _, nid, entry, end = heapq.heappop(heap)
-            if nid not in members:
-                continue
-            self._file_ready(entry, end)
-
-    def _bulk_promote(self, lo: int, hi: int) -> None:
-        """File epoch entries ``[lo, hi)`` ready, in epoch order.
-
-        Epoch entries are always columnar ids (never cloud).  The stale
-        pushes may be batched as ``extend + heapify``: heapq's pop
-        sequence over a key multiset is layout-independent, so the
-        sweep order is unchanged (see the module docstring).
-        """
-        ids = self._fut_id[lo:hi].tolist()
-        ends = self._fut_end[lo:hi].tolist()
-        members = self._members
-        index = self._ready_end_of
-        reg = self._ready_reg
-        stale = self._stale
-        pairs = []
-        for i, end in zip(ids, ends):
-            if i not in members:
-                continue
-            index[i] = (end, i)
-            reg.append(i)
-            pairs.append((end, i))
-        if len(pairs) > 8 and 4 * len(pairs) > len(stale):
-            stale.extend(pairs)
-            heapq.heapify(stale)
-        else:
-            for pair in pairs:
-                heapq.heappush(stale, pair)
-
-    def _promote_merge(self, t: float) -> None:
-        """Promotion merging epoch entries vs heap entries on
-        ``(start, id)`` — the historical all-heap pop order.
-
-        The due epoch slice is cut once (``searchsorted`` + `tolist`)
-        rather than read element-wise through numpy scalars, and its
-        filings (always columnar ids, never cloud) are inlined with
-        the stale pushes batched — exact for the same reason as
-        :meth:`_bulk_promote`: ready-list append order follows the
-        merge order, and the stale heap's pop sequence over a key
-        multiset does not depend on its internal layout.
-        """
-        fs = self._fut_start
-        pos = self._fut_pos
-        hi = int(np.searchsorted(fs, t, side="right"))
+        hi = int(np.searchsorted(fs, t, side="right")) if epoch_due else pos
         starts = fs[pos:hi].tolist()
         ids = self._fut_id[pos:hi].tolist()
         ends = self._fut_end[pos:hi].tolist()
         self._fut_pos = hi
-        heap = self._future
         members = self._members
         index = self._ready_end_of
         reg = self._ready_reg
-        stale = self._stale
-        heappop = heapq.heappop
         pairs = []
-        i = 0
-        n = len(starts)
+        i, n = 0, len(starts)
         while True:
-            take_arr = i < n
-            take_heap = bool(heap) and heap[0][0] <= t
-            if take_arr and take_heap:
-                take_arr = ((starts[i], ids[i])
-                            <= (heap[0][0], heap[0][1]))
-                take_heap = not take_arr
-            if take_arr:
+            head = heap[0] if heap and heap[0][0] <= t else None
+            # epoch entries ordered before the due heap head (all of
+            # the remaining ones once the heap has nothing due)
+            while i < n and (head is None
+                             or (starts[i], ids[i]) <= (head[0], head[1])):
                 nid = ids[i]
-                end = ends[i]
-                i += 1
                 if nid in members:
+                    end = ends[i]
                     index[nid] = (end, nid)
                     reg.append(nid)
                     pairs.append((end, nid))
-            elif take_heap:
-                _, nid, entry, end = heappop(heap)
-                if nid in members:
-                    self._file_ready(entry, end)
-            else:
+                i += 1
+            if head is None:
                 break
+            heapq.heappop(heap)
+            _, nid, entry, end = head
+            if nid in members:
+                self._file_ready(entry, end)
+        stale = self._stale
         if len(pairs) > 8 and 4 * len(pairs) > len(stale):
             stale.extend(pairs)
             heapq.heapify(stale)
@@ -460,10 +391,13 @@ class NodePool:
         Only the probes call this — :meth:`acquire` keeps the
         historical lazy validation so its RNG draw sequence is
         unchanged.  Mirrors :meth:`_promote`: one cut of the stale
-        epoch when the overflow heap holds nothing due, a scalar
-        ``(end, id)`` merge otherwise.  Refiles performed here file
-        intervals with ``end > t`` only, so they never extend the cut
-        being processed.  Refiled nodes leave ghosts in the draw
+        epoch merged against the due overflow-heap entries on
+        ``(end, id)``.  A key duplicated across epoch and heap (a node
+        released back within its filing interval) processes
+        epoch-first; the loser fails the index-end validation exactly
+        like the historical second heap copy did.  Refiles performed
+        here file intervals with ``end > t`` only, so they never make
+        more entries due.  Refiled nodes leave ghosts in the draw
         lists; compact those away once they dominate (never triggers
         in runs that only acquire, so fixed-seed traces are
         unaffected).
@@ -472,23 +406,23 @@ class NodePool:
         pos = self._stale_pos
         heap = self._stale
         index = self._ready_end_of
-        if pos < se.shape[0] and se[pos] <= t:
-            if not heap or heap[0][0] > t:
-                hi = int(np.searchsorted(se, t, side="right"))
-                ends = se[pos:hi].tolist()
-                nids = self._stale_id[pos:hi].tolist()
-                self._stale_pos = hi
-                for end, nid in zip(ends, nids):
-                    entry = index.get(nid)
-                    if entry is None or entry[0] != end:
-                        continue
-                    del index[nid]
-                    self._enqueue(entry[1], t)
-            else:
-                self._sweep_merge(t)
-        else:
-            while heap and heap[0][0] <= t:
-                end, nid = heapq.heappop(heap)
+        epoch_due = pos < se.shape[0] and se[pos] <= t
+        if epoch_due or (heap and heap[0][0] <= t):
+            hi = int(np.searchsorted(se, t, side="right")) if epoch_due \
+                else pos
+            ends = se[pos:hi].tolist()
+            nids = self._stale_id[pos:hi].tolist()
+            self._stale_pos = hi
+            i, n = 0, len(ends)
+            while True:
+                if heap and heap[0][0] <= t and (
+                        i == n or heap[0] < (ends[i], nids[i])):
+                    end, nid = heapq.heappop(heap)
+                elif i < n:
+                    end, nid = ends[i], nids[i]
+                    i += 1
+                else:
+                    break
                 entry = index.get(nid)
                 if entry is None or entry[0] != end:
                     continue
@@ -499,40 +433,6 @@ class NodePool:
         if ghosts > 8 and ghosts > len(index):
             self._compact_ghosts()
 
-    def _sweep_merge(self, t: float) -> None:
-        """Scalar sweep merging epoch head vs heap head on
-        ``(end, id)`` — the historical all-heap pop order.  A key
-        duplicated across epoch and heap (a node released back within
-        its filing interval) processes epoch-first; the loser fails
-        the index-end validation exactly like the historical second
-        heap copy did."""
-        se, sid = self._stale_end, self._stale_id
-        n = se.shape[0]
-        heap = self._stale
-        index = self._ready_end_of
-        pos = self._stale_pos
-        while True:
-            take_arr = pos < n and se[pos] <= t
-            take_heap = bool(heap) and heap[0][0] <= t
-            if take_arr and take_heap:
-                take_arr = ((se[pos], sid[pos])
-                            <= (heap[0][0], heap[0][1]))
-                take_heap = not take_arr
-            if take_arr:
-                end = float(se[pos])
-                nid = int(sid[pos])
-                pos += 1
-            elif take_heap:
-                end, nid = heapq.heappop(heap)
-            else:
-                break
-            entry = index.get(nid)
-            if entry is None or entry[0] != end:
-                continue
-            del index[nid]
-            self._enqueue(entry[1], t)
-        self._stale_pos = pos
-
     def _compact_ghosts(self) -> None:
         """Drop draw-list entries whose id left the ready index, and
         all-but-one copies of ids that were sweep-refiled back in (the
@@ -540,7 +440,6 @@ class NodePool:
         an id can hold several list slots while the index holds one —
         keeping only the first copy restores list length == index
         size and stops the compaction trigger from re-firing)."""
-        POOL_STATS["ghost_compactions"] += 1
         index = self._ready_end_of
         for attr in ("_ready_reg", "_ready_cloud"):
             lst = getattr(self, attr)
@@ -569,7 +468,6 @@ class NodePool:
         draw performs always file intervals starting after ``t``, so
         they never grow the lists mid-draw either.
         """
-        POOL_STATS["acquires"] += 1
         rng = self._rng
         index = self._ready_end_of
         reg = self._ready_reg
@@ -674,7 +572,6 @@ class NodePool:
         """
         if k <= 0:
             return []  # zero acquires touch nothing, not even a promote
-        POOL_STATS["bulk_batches"] += 1
         self._promote(t)
         out: List[Tuple[Node, float]] = []
         draw = self._draw

@@ -32,7 +32,7 @@ _SERVER_CLASSES = {"boinc": BoincServer, "xwhep": XWHepServer}
 
 
 def resolve_server(kind):
-    """The server class for a middleware name (assembly-cacheable)."""
+    """The server class for a middleware name (a dict lookup)."""
     try:
         return _SERVER_CLASSES[kind.lower()]
     except KeyError:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import Deque, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
@@ -36,20 +35,7 @@ from repro.simulator.engine import Event, Simulation
 from repro.workload.bot import BagOfTasks, Task
 
 __all__ = ["DGServer", "ServerObserver", "ServerStats", "TaskState",
-           "GTID", "DISPATCH_STATS", "reset_dispatch_stats"]
-
-#: dispatch-plane telemetry (reset per profiled run by the benches):
-#: total dispatch passes, bulk passes, scalar fallbacks forced by the
-#: eligibility precondition, and wall seconds spent inside bulk pairing
-DISPATCH_STATS = {"dispatches": 0, "bulk": 0, "scalar_fallbacks": 0,
-                  "pairing_wall": 0.0}
-
-
-def reset_dispatch_stats() -> None:
-    DISPATCH_STATS["dispatches"] = 0
-    DISPATCH_STATS["bulk"] = 0
-    DISPATCH_STATS["scalar_fallbacks"] = 0
-    DISPATCH_STATS["pairing_wall"] = 0.0
+           "GTID"]
 
 #: Global task id: (bot_id, task_id) — servers can host several BoTs.
 GTID = Tuple[str, int]
@@ -338,7 +324,6 @@ class DGServer:
         only — both loops are transcript-identical, so routing can
         never change results.
         """
-        DISPATCH_STATS["dispatches"] += 1
         pending = self.pending
         n = len(pending)
         if n == 0:
@@ -351,17 +336,11 @@ class DGServer:
         plist = list(pending)
         rows = np.fromiter((st.row for st in plist), dtype=np.int64,
                            count=n)
-        if rows.min() < 0:  # foreign TaskState without a column row
-            self._dispatch_scalar()
-            return
-        wall0 = perf_counter()
         live_idx = np.flatnonzero(~self.task_cols.done[rows])
         n_live = int(live_idx.shape[0])
         if n_live and not self._bulk_eligible(rows, live_idx):
-            DISPATCH_STATS["scalar_fallbacks"] += 1
             self._dispatch_scalar()
             return
-        DISPATCH_STATS["bulk"] += 1
         k = n_live
         if n_live == 0 or int(live_idx[-1]) != n - 1:
             k += 1  # trailing done entries cost one set-aside acquire
@@ -378,7 +357,6 @@ class DGServer:
             for _ in range(cut):
                 pending.popleft()
         self._consume_bulk(units)
-        DISPATCH_STATS["pairing_wall"] += perf_counter() - wall0
         execute = self._execute
         for unit, (node, end) in zip(units, got):
             execute(unit, node, end)
@@ -388,9 +366,10 @@ class DGServer:
             self._arm_wakeup()
 
     def _dispatch_scalar(self) -> None:
-        """Scalar reference loop (the historical `_dispatch` body) —
-        kept verbatim as the transcript oracle for the bulk pass and
-        as the fallback for queues the precondition cannot certify."""
+        """The historical `_dispatch` body, verbatim — the route for
+        short queues and steady-state single-node dispatches, for
+        queues the bulk precondition cannot certify, and the
+        transcript reference the bulk pass is pinned against."""
         t = self.sim.now
         set_aside: List[Tuple[Node, float]] = []
         while self.pending:

@@ -302,19 +302,6 @@ class BoincServer(DGServer):
         heappush(self._fetch_heap, (*self._fetch_key(wu),
                                     self._fetch_seq, wu))
 
-    def _fetch_candidate_scan(self, node: Node) -> Optional[TaskState]:
-        """Naive O(incomplete) candidate scan — the reference the heap
-        pick is property-tested against (tests/test_boinc_fetch_heap)."""
-        best: Optional[TaskState] = None
-        best_key = None
-        for cand in self._incomplete:
-            if not self._eligible(cand, node):
-                continue
-            key = self._fetch_key(cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        return best
-
     def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
         """Serve a dedicated cloud worker: pending replicas first, then
         an extra replica of the least-served incomplete workunit.

@@ -100,14 +100,6 @@ class Event:
         """Prevent the callback from running.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        # heapq relies on this total order; seq breaks all remaining ties.
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))

@@ -10,8 +10,8 @@ assignment), ``_execute_cloud`` (duplicate started) and ``_finish``
 interleavings of exactly those transitions — including completions,
 retired entries and per-node ineligibility — and checks the heap pick
 (:meth:`_fetch_candidate_pick`) against the naive scan
-(:meth:`_fetch_candidate_scan`, the historical loop kept as the
-reference) after every step.
+(``fetch_candidate_scan`` in ``tests/oracles/boinc.py``, the
+historical loop) after every step.
 """
 
 from types import SimpleNamespace
@@ -23,6 +23,7 @@ from repro.infra.pool import NodePool
 from repro.middleware.base import TaskState
 from repro.middleware.boinc import BoincServer
 from repro.simulator.engine import Simulation
+from oracles.boinc import fetch_candidate_scan
 
 
 def _server():
@@ -102,7 +103,7 @@ def test_heap_pick_matches_naive_scan_under_random_interleavings(data):
             _complete(server, data.draw(st.sampled_from(live)))
         else:
             node = _node(data.draw(st.sampled_from(node_ids)))
-            expected = server._fetch_candidate_scan(node)
+            expected = fetch_candidate_scan(server, node)
             got = server._fetch_candidate_pick(node)
             assert got is expected
     # a final pick per node: the heap must still agree after the dust
@@ -110,7 +111,7 @@ def test_heap_pick_matches_naive_scan_under_random_interleavings(data):
     for nid in node_ids:
         node = _node(nid)
         assert server._fetch_candidate_pick(node) \
-            is server._fetch_candidate_scan(node)
+            is fetch_candidate_scan(server, node)
 
 
 def test_pick_on_empty_heap_returns_none():

@@ -9,6 +9,8 @@ golden in the repo depends on it.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.infra.columns import ColumnNode, NodeColumns
 from repro.infra.node import Node
@@ -201,6 +203,73 @@ def test_cloud_nodes_coexist_with_columnar_members():
     assert cloud not in pool
 
 
+# ------------------------------------------- epoch vs overflow-heap merge
+#: per-node interval lists on a coarse 10 s grid, so epoch entries and
+#: refiled overflow-heap entries keep falling due at the same instant
+_grid_fleet = st.lists(
+    st.lists(st.integers(0, 20), min_size=2, max_size=6, unique=True)
+    .map(sorted).map(lambda pts: [(10.0 * pts[i], 10.0 * pts[i + 1])
+                                  for i in range(0, len(pts) - 1, 2)]),
+    min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleet=_grid_fleet, seed=st.integers(0, 2 ** 16), data=st.data())
+def test_epoch_merge_replays_the_all_heap_pool(fleet, seed, data):
+    """A columnar pool (t=0 filing in sorted epoch arrays, later
+    refiles in overflow heaps) against an object pool (every filing in
+    the heaps): promotion and stale sweeps must process due entries in
+    the same ``(key, id)`` order when both stores fall due at once —
+    including equal keys, which a removed and re-added node leaves in
+    both stores (its epoch entry and its fresh heap entry), and which
+    a node released inside its filing interval leaves in both stale
+    stores."""
+    raw = [(np.array([s for s, _ in ivs]), np.array([e for _, e in ivs]),
+            1000.0, "grid") for ivs in fleet]
+    nodes = _nodes_of(raw)
+    obj = NodePool(nodes, rng=np.random.default_rng(seed))
+    col = NodePool(NodeColumns.from_raw(raw).fresh(),
+                   rng=np.random.default_rng(seed))
+    held = {id(obj): [], id(col): []}
+    t = 0.0
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        t += data.draw(st.sampled_from([0.0, 5.0, 10.0]), label="dt")
+        op = data.draw(st.sampled_from(
+            ["acquire", "acquire_many", "return", "readd", "has_ready",
+             "idle_count", "next_future_start"]), label="op")
+        k = data.draw(st.integers(1, 4), label="k")
+        nid = data.draw(st.integers(0, len(fleet) - 1), label="nid")
+        out = []
+        for pool in (obj, col):
+            mine = held[id(pool)]
+            if op == "acquire":
+                got = pool.acquire(t)
+                got = [] if got is None else [got]
+            elif op == "acquire_many":
+                got = pool.acquire_many(t, k)
+            else:
+                got = []
+            mine.extend(got)
+            if op == "return" and mine:
+                node, end = mine.pop(0)
+                if end <= t:
+                    pool.preempted(node, t)
+                else:
+                    pool.release(node, t)
+            elif op == "readd" and all(n.node_id != nid for n, _ in mine):
+                node = (nodes[nid] if pool is obj
+                        else ColumnNode(col._columns, nid))
+                pool.remove(node)
+                pool.add(node, at=t)
+            probe = (getattr(pool, op)(t) if op in (
+                "has_ready", "idle_count", "next_future_start") else None)
+            out.append(([(n.node_id, end) for n, end in got], probe,
+                         sorted(pool._ready_end_of), pool.size))
+        assert out[0] == out[1]
+        assert (obj._rng.bit_generator.state
+                == col._rng.bit_generator.state)
+
+
 # ---------------------------------------------------------- pool filing
 def test_pool_from_filing_replays_fresh_filing_exactly():
     """A pool restored from a captured t=0 filing skeleton must be
@@ -235,14 +304,27 @@ def test_capture_filing_rejects_unvectorized_pools():
         col_pool.capture_filing()
 
 
-def test_trace_cache_materialize_pool_reuses_filing():
-    from repro.experiments.harness import TraceCache
+def test_build_dci_restores_the_cached_filing():
+    """The second assembly of one realization is an ASSEMBLY_CACHE hit
+    whose pool, restored from the captured filing, draws exactly like
+    the first build's and like a freshly filed pool."""
+    from repro.experiments.harness import (
+        ASSEMBLY_CACHE,
+        TRACE_CACHE,
+        ScenarioHarness,
+    )
 
-    cache = TraceCache()
-    kw = dict(trace="nd", seed=3, cap=25, horizon=2 * 86400.0)
-    p1 = cache.materialize_pool(rng=np.random.default_rng([3, 0xB00]),
-                                **kw)
-    assert len(cache._filings) == 1  # skeleton captured on first build
-    p2 = cache.materialize_pool(rng=np.random.default_rng([3, 0xB00]),
-                                **kw)
-    assert _drive(p1) == _drive(p2)
+    horizon = 2 * 86400.0 + 1.0  # a realization no other test assembles
+    pools = []
+    for expect_hit in (False, True):
+        hits, misses = ASSEMBLY_CACHE.hits, ASSEMBLY_CACHE.misses
+        harness = ScenarioHarness(horizon=horizon)
+        pools.append(harness.build_dci("d", trace="nd", middleware="xwhep",
+                                       seed=3, cap=25).pool)
+        assert (ASSEMBLY_CACHE.hits - hits,
+                ASSEMBLY_CACHE.misses - misses) == \
+            ((1, 0) if expect_hit else (0, 1))
+    fresh = NodePool(TRACE_CACHE.columns_template("nd", 3, 25,
+                                                  horizon).fresh(),
+                     rng=np.random.default_rng([3, 0xB00]))
+    assert _drive(pools[0]) == _drive(pools[1]) == _drive(fresh)

@@ -178,19 +178,19 @@ def test_bulk_dispatch_transcript_equals_scalar(kind, fleet_seed, n_nodes,
     assert now_b == now_s
 
 
-def test_bulk_dispatch_path_actually_taken():
+@pytest.mark.parametrize("kind", ["boinc", "xwhep"])
+def test_bulk_dispatch_path_actually_taken(kind, monkeypatch):
     """Guard against the fast path silently never engaging: a fresh
     arrival storm over an available pool must run at least one bulk
-    pass."""
-    from repro.middleware.base import DISPATCH_STATS, reset_dispatch_stats
-    reset_dispatch_stats()
-    _run_world("boinc", True, fleet_seed=7, n_nodes=8, rng_seed=1,
+    pass (every bulk pass draws through ``acquire_many``)."""
+    batches = []
+    acquire_many = NodePool.acquire_many
+    monkeypatch.setattr(
+        NodePool, "acquire_many",
+        lambda self, t, k: (batches.append(k), acquire_many(self, t, k))[1])
+    _run_world(kind, True, fleet_seed=7, n_nodes=8, rng_seed=1,
                bot_seed=3, bot_size=10, ready_at_zero=True)
-    assert DISPATCH_STATS["bulk"] > 0
-    reset_dispatch_stats()
-    _run_world("xwhep", True, fleet_seed=7, n_nodes=8, rng_seed=1,
-               bot_seed=3, bot_size=10, ready_at_zero=True)
-    assert DISPATCH_STATS["bulk"] > 0
+    assert batches
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.info import BoTMonitor, InformationModule, tc_grid
 from repro.core.oracle import Oracle, fit_alpha, prediction_success
-from repro.core.storage import (
+from repro.history.records import (
     ExecutionRecord,
     InMemoryHistoryStore,
     SQLiteHistoryStore,

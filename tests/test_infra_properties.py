@@ -23,6 +23,7 @@ from repro.infra import intervals as iv
 from repro.infra.catalog import get_trace_spec
 from repro.infra.gantt import gate_windows
 from repro.infra.renewal import RenewalTraceGenerator
+from oracles.intervals import intersect_scalar
 
 
 # --------------------------------------------------------------- helpers
@@ -42,7 +43,7 @@ def test_intersect_matches_two_pointer_reference(seed, n1, n2):
     s1, e1 = _interval_set(rng, n1)
     s2, e2 = _interval_set(rng, n2)
     vs, ve = iv.intersect(s1, e1, s2, e2)
-    rs, re_ = iv.intersect_scalar(s1, e1, s2, e2)
+    rs, re_ = intersect_scalar(s1, e1, s2, e2)
     assert vs.tobytes() == rs.tobytes()
     assert ve.tobytes() == re_.tobytes()
 

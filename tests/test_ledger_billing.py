@@ -1,14 +1,14 @@
-"""Transcript-equality pins for the columnar billing scan (PR 9).
+"""Transcript-equality pins for the columnar billing tick.
 
-The scheduler's vectorized ``_bill_and_manage`` must be byte-identical
-to the historical per-handle loop (kept as
-``_bill_and_manage_scalar``): same ``credits.bill`` sequence, same
-floats in the credit ledger and the meter's per-provider dicts, same
-handle lifecycle decisions — under arbitrary busy trajectories,
-including escrow exhaustion (where the vectorized path must detect the
-risk and route to the scalar replay).  A hypothesis driver runs twin
-worlds through identical random trajectories and compares full state
-after every tick.
+The scheduler's vectorized ``_bill_and_manage`` and its batched
+teardown settlement must be byte-identical to the historical
+per-handle loop (``tests/oracles/billing.py``): same ``credits.bill``
+sequence, same floats in the credit ledger and the meter's
+per-provider dicts, same handle lifecycle decisions — under arbitrary
+busy trajectories, including escrow exhaustion mid-tick and the
+``stop_all`` settlement that follows a shortfall.  A hypothesis driver
+runs twin worlds through identical random trajectories and compares
+full state after every tick.
 
 Also pinned here: ``BillingMeter.charge_many`` against sequential
 ``charge`` calls, the ledger's column/attribute sync invariants, and
@@ -23,12 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cloud.worker import CloudWorkerHandle
 from repro.core.credit import CreditSystem
-from repro.core.scheduler import (
-    SCHED_TELEMETRY,
-    QoSRun,
-    SchedulerConfig,
-    SpeQuloSScheduler,
-)
+from repro.core.scheduler import QoSRun, SchedulerConfig, SpeQuloSScheduler
 from repro.core.strategies import (
     DEPLOY_FLAT,
     SIZE_CONSERVATIVE,
@@ -37,6 +32,7 @@ from repro.core.strategies import (
 )
 from repro.economics.billing import BillingMeter
 from repro.economics.pricing import PriceBook
+from oracles.billing import bill_and_manage_scalar, stop_all_scalar
 
 
 # --------------------------------------------------------------- stubs
@@ -74,10 +70,19 @@ def _make_handle(nid):
     return CloudWorkerHandle(inst, DEPLOY_FLAT)
 
 
-def _build_world(n_handles, provision, greedy, idle_grace):
+def _build_world(n_handles, provision, greedy, idle_grace,
+                 allowance=None):
+    """One run over ``n_handles`` Flat workers.  ``allowance`` (a
+    fraction of ``provision``) bills a shared pool under an
+    arbitration cap instead of a private order."""
     credits = CreditSystem()
     credits.deposit("u", provision)
-    credits.order("b", "u", provision)
+    if allowance is None:
+        credits.order("b", "u", provision)
+    else:
+        credits.open_pool("p", "u", provision)
+        credits.join_pool("b", "p")
+        credits.set_allowance("b", allowance * provision)
     server = _StubServer()
     cfg = SchedulerConfig(idle_grace=idle_grace)
     sched = SpeQuloSScheduler(SimpleNamespace(now=0.0), info=None,
@@ -119,66 +124,124 @@ def _assert_ledger_synced(run):
 
 
 # ----------------------------------------------- scan transcript equality
-@given(data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_vectorized_scan_matches_per_handle_reference(data):
-    n = data.draw(st.integers(1, 6), label="handles")
-    greedy = data.draw(st.booleans(), label="greedy")
-    idle_grace = data.draw(st.sampled_from([None, 60.0, 180.0]),
-                           label="idle_grace")
-    # small provisions force clamping/exhaustion (the scalar-fallback
-    # regime); big ones keep the vectorized fast path engaged
-    provision = data.draw(st.sampled_from([0.02, 0.3, 3.0, 1e4]),
-                          label="provision")
-    vec, run_v, srv_v = _build_world(n, provision, greedy, idle_grace)
-    ref, run_r, srv_r = _build_world(n, provision, greedy, idle_grace)
+def _assert_twins_equal(vec, run_v, ref, run_r):
+    """Full-state equality of the twin worlds, exact floats."""
+    assert vec.credits.ledger == ref.credits.ledger
+    assert vec.credits.get_order("b").spent == \
+        ref.credits.get_order("b").spent
+    assert vec.meter.spent_by_provider == ref.meter.spent_by_provider
+    assert vec.meter.cpu_seconds_by_provider == \
+        ref.meter.cpu_seconds_by_provider
+    assert _handle_state(run_v) == _handle_state(run_r)
+    assert run_v.stop_reason == run_r.stop_reason
+    assert run_v.active_workers() == run_r.active_workers()
+    assert vec._active_total == ref._active_total
+    _assert_ledger_synced(run_v)
+    _assert_ledger_synced(run_r)
 
-    n_ticks = data.draw(st.integers(1, 7), label="ticks")
-    now = 0.0
-    for _ in range(n_ticks):
-        now += 60.0
-        incs = data.draw(st.lists(
-            st.floats(0.0, 90.0, allow_nan=False, allow_infinity=False),
-            min_size=n, max_size=n))
-        busy = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+
+def test_vectorized_scan_matches_per_handle_reference():
+    """Twin worlds — columnar tick vs the per-handle oracle — through
+    random busy trajectories, ending with a completion teardown.  The
+    regimes that make charge/settlement interleaving observable must
+    actually be reached: ticks that exhaust the escrow, and the
+    ``stop_all`` settlement of handles left unbilled by the shortfall.
+    """
+    seen = {"exhausting_ticks": 0, "settled_after_shortfall": 0}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def check(data):
+        n = data.draw(st.integers(1, 6), label="handles")
+        greedy = data.draw(st.booleans(), label="greedy")
+        idle_grace = data.draw(st.sampled_from([None, 60.0, 180.0]),
+                               label="idle_grace")
+        # small provisions force clamping/exhaustion; big ones keep
+        # every charge covered
+        provision = data.draw(st.sampled_from([0.02, 0.3, 3.0, 1e4]),
+                              label="provision")
+        allowance = data.draw(st.sampled_from([None, 0.5, 1.0]),
+                              label="allowance")
+        vec, run_v, srv_v = _build_world(n, provision, greedy, idle_grace,
+                                         allowance)
+        ref, run_r, srv_r = _build_world(n, provision, greedy, idle_grace,
+                                         allowance)
+        # shortfall position of every batched charge of a tick
+        calls = []
+        charge_live = vec._charge_live
+
+        def spy(run, live, totals):
+            calls.append(charge_live(run, live, totals))
+            return calls[-1]
+
+        vec._charge_live = spy
+
+        n_ticks = data.draw(st.integers(1, 7), label="ticks")
+        now = 0.0
+        for _ in range(n_ticks):
+            now += 60.0
+            incs = data.draw(st.lists(
+                st.floats(0.0, 90.0, allow_nan=False,
+                          allow_infinity=False),
+                min_size=n, max_size=n))
+            busy = data.draw(st.lists(st.booleans(), min_size=n,
+                                      max_size=n))
+            for srv in (srv_v, srv_r):
+                srv.busy_now = {i for i, b in enumerate(busy) if b}
+                for i, inc in enumerate(incs):
+                    srv.busy_sec[i] = srv.busy_sec.get(i, 0.0) + inc
+            vec.sim.now = now
+            ref.sim.now = now
+            calls.clear()
+            vec._bill_and_manage(run_v)
+            bill_and_manage_scalar(ref, run_r)
+            if calls and calls[0] >= 0:
+                seen["exhausting_ticks"] += 1
+                # the teardown batch clamped a handle the tick left
+                # unbilled
+                if len(calls) > 1 and calls[1] >= 0:
+                    seen["settled_after_shortfall"] += 1
+            _assert_twins_equal(vec, run_v, ref, run_r)
+
+        # the BoT completes: usage accrued since the last tick is
+        # settled in one batch (vec) vs handle by handle (ref)
+        now += 30.0
         for srv in (srv_v, srv_r):
-            srv.busy_now = {i for i, b in enumerate(busy) if b}
-            for i, inc in enumerate(incs):
-                srv.busy_sec[i] = srv.busy_sec.get(i, 0.0) + inc
+            for i in range(n):
+                srv.busy_sec[i] = srv.busy_sec.get(i, 0.0) + 45.0
         vec.sim.now = now
         ref.sim.now = now
-        vec._bill_and_manage(run_v)
-        ref._bill_and_manage_scalar(run_r)
+        vec.stop_all(run_v, reason="bot completed")
+        stop_all_scalar(ref, run_r, reason="bot completed")
+        _assert_twins_equal(vec, run_v, ref, run_r)
 
-        # full-state equality, exact floats throughout
-        assert vec.credits.ledger == ref.credits.ledger
-        assert vec.credits.get_order("b").spent == \
-            ref.credits.get_order("b").spent
-        assert vec.meter.spent_by_provider == ref.meter.spent_by_provider
-        assert vec.meter.cpu_seconds_by_provider == \
-            ref.meter.cpu_seconds_by_provider
-        assert _handle_state(run_v) == _handle_state(run_r)
-        assert run_v.stop_reason == run_r.stop_reason
-        assert run_v.active_workers() == run_r.active_workers()
-        assert vec._active_total == ref._active_total
-        _assert_ledger_synced(run_v)
-        _assert_ledger_synced(run_r)
+    check()
+    assert seen["exhausting_ticks"] > 0
+    assert seen["settled_after_shortfall"] > 0
 
 
-def test_exhausting_tick_takes_the_scalar_fallback():
-    """A tick whose charges might overrun the escrow must route to the
-    exact replay (where settlement interleaving is observable)."""
-    sched, run, srv = _build_world(3, provision=0.01, greedy=False,
-                                   idle_grace=None)
-    for i in range(3):
-        srv.busy_sec[i] = 3600.0  # 15 credits each at the paper rate
-    before = SCHED_TELEMETRY["scalar_fallbacks"]
-    sched.sim.now = 60.0
-    sched._bill_and_manage(run)
-    assert SCHED_TELEMETRY["scalar_fallbacks"] == before + 1
-    assert run.stop_reason == "credits exhausted"
-    assert all(h.stopped for h in run.handles)
-    assert run.active_workers() == 0
+def test_exhausting_tick_stops_everything_like_the_oracle():
+    """A tick whose second charge overruns the escrow bills the first
+    handle in full, clamps the second, settles the third at zero and
+    stops the run — the same end state as the per-handle oracle."""
+    worlds = []
+    for tick in (lambda s, r: s._bill_and_manage(r),
+                 bill_and_manage_scalar):
+        sched, run, srv = _build_world(3, provision=20.0, greedy=False,
+                                       idle_grace=None)
+        for i in range(3):
+            srv.busy_sec[i] = 3600.0  # 15 credits each at the paper rate
+        sched.sim.now = 60.0
+        tick(sched, run)
+        worlds.append((sched, run))
+    (vec, run_v), (ref, run_r) = worlds
+    assert run_v.stop_reason == "credits exhausted"
+    assert all(h.stopped for h in run_v.handles)
+    assert run_v.active_workers() == 0
+    assert vec.credits.ledger == ref.credits.ledger
+    assert [e for e in vec.credits.ledger if e[0] == "bill"] == [
+        ("bill", "b", 15.0), ("bill", "b", 5.0)]
+    _assert_twins_equal(vec, run_v, ref, run_r)
 
 
 def test_stop_by_node_uses_the_index():
@@ -199,8 +262,10 @@ def test_stop_by_node_uses_the_index():
 @settings(max_examples=80, deadline=None)
 def test_charge_many_matches_sequential_charges(data):
     provision = data.draw(st.sampled_from([0.01, 0.5, 20.0, 1e5]))
+    # the scheduler only charges handles that computed since the last
+    # tick, so batches hold positive deltas only
     deltas = data.draw(st.lists(
-        st.floats(-5.0, 400.0, allow_nan=False, allow_infinity=False),
+        st.floats(1e-6, 400.0, allow_nan=False, allow_infinity=False),
         min_size=0, max_size=10))
     book = PriceBook.uniform(
         data.draw(st.sampled_from([15.0, 3.5, 120.0])))

@@ -3,7 +3,6 @@ read-only sharing, fingerprint invalidation, and GC."""
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.experiments import trace_store as ts
@@ -143,3 +142,55 @@ def test_load_uses_mmap_not_fallback(store):
 def test_empty_realization_roundtrips(store):
     store.save(("empty", (), 0, 1.0), [])
     assert store.load(("empty", (), 0, 1.0)) == []
+
+
+# ------------------------------------------------------- torn entries
+def test_torn_entry_is_dropped_and_regenerated(store):
+    """A stored ``.npz`` cut to half its length (an interrupted copy,
+    a full disk) is a miss: counted ``corrupt``, deleted, regenerated
+    and re-archived — never a crash of the run that reads it."""
+    nodes, _ = _realize()
+    path = store.path_for(KEY)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+    assert store.load_flat(KEY) is None
+    assert store.corrupt == 1
+    assert not os.path.exists(path)
+    again, cache = _realize()   # a fresh L1 regenerates and re-saves
+    assert cache.disk_hits == 0
+    assert store.saves == 2 and os.path.exists(path)
+    for a, b in zip(nodes, again):
+        assert a.starts.tobytes() == b.starts.tobytes()
+    assert "1 corrupt" in store.summary()
+
+
+# ------------------------------------------------- generator fingerprint
+def test_fingerprint_hashes_exactly_the_generator_modules():
+    """Only the modules a realization is produced by are hashed: the
+    trace catalog and its transitive ``repro.infra`` imports.  Pool,
+    columns and other consumers are left out, so editing them keeps
+    every stored realization valid."""
+    import ast
+
+    infra = os.path.join(os.path.dirname(ts.__file__), os.pardir, "infra")
+    closure, todo = set(), ["catalog.py"]
+    while todo:
+        name = todo.pop()
+        if name in closure:
+            continue
+        closure.add(name)
+        with open(os.path.join(infra, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.startswith("repro.infra."):
+                    todo.append(node.module.split(".")[2] + ".py")
+                elif node.module == "repro.infra":
+                    todo.extend(a.name + ".py" for a in node.names)
+    assert set(ts.GENERATOR_SOURCES) == closure
+    assert set(ts.GENERATOR_SOURCES) == {
+        "catalog.py", "gantt.py", "intervals.py", "node.py",
+        "quantile.py", "renewal.py", "spot.py"}
+    assert not {"pool.py", "columns.py"} & set(ts.GENERATOR_SOURCES)
