@@ -103,9 +103,8 @@ _EXEC_SCALARS = ("makespan", "censored", "n_tasks", "ideal_time",
                  "credits_provisioned", "credits_spent",
                  "workers_launched", "cloud_cpu_hours",
                  "cloud_completions", "events", "wall_seconds")
-_MT_SCALARS = ("pool_provisioned", "pool_spent", "workers_peak",
-               "events", "wall_seconds")
-_FED_SCALARS = _MT_SCALARS
+_STREAM_SCALARS = ("pool_provisioned", "pool_spent", "workers_peak",
+                   "events", "wall_seconds")
 
 
 def _jsonable(obj: Any) -> Any:
@@ -173,17 +172,14 @@ def encode_result(result: Any) -> Tuple[str, str]:
         d["tc_grid"] = result.tc_grid
         d["server_stats"] = result.server_stats
         return "execution", _payload_json(d)
-    if isinstance(result, FederatedResult):
-        d = {name: getattr(result, name) for name in _FED_SCALARS}
+    if isinstance(result, (FederatedResult, MultiTenantResult)):
+        d = {name: getattr(result, name) for name in _STREAM_SCALARS}
         d["config"] = asdict(result.config)
         d["tenants"] = [asdict(t) for t in result.tenants]
+        if isinstance(result, MultiTenantResult):
+            return "multi_tenant", _payload_json(d)
         d["dcis"] = [asdict(o) for o in result.dcis]
         return "federated", _payload_json(d)
-    if isinstance(result, MultiTenantResult):
-        d = {name: getattr(result, name) for name in _MT_SCALARS}
-        d["config"] = asdict(result.config)
-        d["tenants"] = [asdict(t) for t in result.tenants]
-        return "multi_tenant", _payload_json(d)
     return "json", _payload_json(result)
 
 
@@ -204,23 +200,33 @@ def decode_result(kind: str, payload: str) -> Any:
         return MultiTenantResult(
             config=MultiTenantConfig(**cfg),
             tenants=[TenantOutcome(**t) for t in d["tenants"]],
-            **{name: d[name] for name in _MT_SCALARS})
+            **{name: d[name] for name in _STREAM_SCALARS})
     if kind == "federated":
+        # ScenarioConfig re-tuples its own sequence fields
         cfg = dict(d["config"])
-        cfg["dcis"] = tuple(DCISpec(**spec) for spec in cfg["dcis"])
-        cfg["categories"] = tuple(cfg["categories"])
-        if cfg.get("affinity") is not None:
-            cfg["affinity"] = tuple(tuple(pair) for pair in cfg["affinity"])
-        if cfg.get("arrivals") is not None:
-            cfg["arrivals"] = tuple(cfg["arrivals"])
+        cfg["dcis"] = [DCISpec(**spec) for spec in cfg["dcis"]]
         return FederatedResult(
             config=ScenarioConfig(**cfg),
             tenants=[FederatedTenantOutcome(**t) for t in d["tenants"]],
             dcis=[DCIOutcome(**o) for o in d["dcis"]],
-            **{name: d[name] for name in _FED_SCALARS})
+            **{name: d[name] for name in _STREAM_SCALARS})
     if kind == "json":
         return d
     raise ValueError(f"unknown payload kind {kind!r}")
+
+
+#: what decoding a torn or garbled payload raises (JSONDecodeError and
+#: config validation are ValueErrors; a missing or misshapen member is
+#: a KeyError/TypeError)
+_DECODE_ERRORS = (ValueError, KeyError, TypeError)
+
+
+def _decodes(kind: str, payload: str) -> bool:
+    try:
+        decode_result(kind, payload)
+    except _DECODE_ERRORS:
+        return False
+    return True
 
 
 def comparable_payload(payload: str) -> str:
@@ -243,6 +249,9 @@ class StoreStats:
     #: re-puts whose timing-stripped payload disagreed with the stored
     #: one — always a bug (non-deterministic simulation or stale salt)
     conflicts: int = 0
+    #: rows whose payload did not decode (torn write, bit rot): dropped
+    #: by :meth:`ResultStore.get` (as a miss) or :meth:`ResultStore.gc`
+    corrupt: int = 0
 
     @property
     def lookups(self) -> int:
@@ -258,6 +267,8 @@ class StoreStats:
                 f"{self.puts} stored")
         if self.conflicts:
             text += f", {self.conflicts} CONFLICTS"
+        if self.corrupt:
+            text += f", {self.corrupt} corrupt rows dropped"
         return text
 
 
@@ -296,15 +307,32 @@ class ResultStore:
 
     def get(self, key: Any, extra: Optional[Dict[str, Any]] = None
             ) -> Optional[Any]:
-        """The stored result for a config, or None (counted as hit/miss)."""
+        """The stored result for a config, or None (counted as hit/miss).
+
+        A row whose payload does not decode counts as ``corrupt``: it is
+        deleted and reported as a miss, so the caller recomputes and
+        :meth:`put` stores a fresh row.
+        """
+        digest = self.digest(key, extra)
         row = self._conn.execute(
             "SELECT kind, payload FROM results WHERE digest = ?",
-            (self.digest(key, extra),)).fetchone()
-        if row is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return decode_result(*row)
+            (digest,)).fetchone()
+        if row is not None:
+            try:
+                result = decode_result(*row)
+            except _DECODE_ERRORS:
+                self._drop_corrupt([digest])
+            else:
+                self.stats.hits += 1
+                return result
+        self.stats.misses += 1
+        return None
+
+    def _drop_corrupt(self, digests: List[str]) -> None:
+        self.stats.corrupt += len(digests)
+        self._conn.executemany("DELETE FROM results WHERE digest = ?",
+                               [(d,) for d in digests])
+        self._conn.commit()
 
     def contains(self, key: Any,
                  extra: Optional[Dict[str, Any]] = None) -> bool:
@@ -369,18 +397,29 @@ class ResultStore:
         return cur.rowcount
 
     def gc(self, vacuum: bool = True) -> Tuple[int, int]:
-        """Drop records whose salt no longer matches this handle's.
+        """Drop stale-salt records and current ones that do not decode.
 
         Stale records are unreachable anyway (every lookup digest
         embeds the current salt), so GC only reclaims space — a store
         that survived many code edits (e.g. CI's cached one) otherwise
-        accretes dead rows forever.  Returns ``(rows, payload_bytes)``
-        reclaimed; ``vacuum`` compacts the database file afterwards so
-        the bytes actually return to the filesystem.
+        accretes dead rows forever.  Current-salt rows whose payload
+        does not decode are dropped too and counted in
+        ``stats.corrupt``.  Returns ``(rows, payload_bytes)`` reclaimed,
+        both kinds together; ``vacuum`` compacts the database file
+        afterwards so the bytes actually return to the filesystem.
         """
         (rows, nbytes) = self._conn.execute(
             "SELECT COUNT(*), COALESCE(SUM(LENGTH(payload)), 0) "
             "FROM results WHERE salt != ?", (self._salt,)).fetchone()
+        corrupt = [
+            (digest, len(payload)) for digest, kind, payload
+            in self._conn.execute(
+                "SELECT digest, kind, payload FROM results WHERE salt = ?",
+                (self._salt,)).fetchall()
+            if not _decodes(kind, payload)]
+        self._drop_corrupt([digest for digest, _n in corrupt])
+        rows += len(corrupt)
+        nbytes += sum(n for _digest, n in corrupt)
         if rows:
             self._conn.execute("DELETE FROM results WHERE salt != ?",
                                (self._salt,))

@@ -37,7 +37,8 @@ Nine subcommands cover the day-to-day uses of the reproduction:
   (``stats``: record counts, on-disk size and the in-process trace
   cache's LRU counters) or garbage-collect records orphaned by code
   edits (``gc``: drops rows whose salt no longer matches the current
-  ``code_fingerprint()`` and reports reclaimed rows/bytes);
+  ``code_fingerprint()`` and current rows whose payload does not
+  decode, and reports reclaimed rows/bytes);
 * ``history`` — inspect the persistent execution-history archive
   (``stats``: per-environment record counts, throughput, slowdown,
   cost per task — per provider where tagged — and calibrated α) or
@@ -230,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         "store", help="inspect or garbage-collect the result store")
     st.add_argument("action", choices=("stats", "gc"),
                     help="stats: record counts and size; gc: drop "
-                         "records whose code salt is stale and report "
+                         "records whose code salt is stale or whose "
+                         "payload does not decode, and report "
                          "reclaimed rows/bytes")
 
     hist = sub.add_parser(
@@ -474,8 +476,9 @@ def _cmd_store(args) -> int:
               f"{ASSEMBLY_CACHE.summary()}")
         return 0
     rows, nbytes = store.gc()
-    print(f"store gc: reclaimed {rows} stale rows "
-          f"({nbytes} payload bytes) — {store.path}")
+    corrupt = store.stats.corrupt
+    print(f"store gc: reclaimed {rows - corrupt} stale rows and "
+          f"{corrupt} corrupt rows ({nbytes} payload bytes) — {store.path}")
     print(f"  {len(store)} records remain, "
           f"{store.file_bytes()} bytes on disk")
     tfiles, tbytes = traces.gc()

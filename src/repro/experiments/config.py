@@ -94,6 +94,8 @@ class ExecutionConfig:
             raise ValueError(f"unknown middleware {self.middleware!r}")
         if self.category.upper() not in BOT_CATEGORIES:
             raise ValueError(f"unknown BoT category {self.category!r}")
+        if self.provider.lower() not in PROVIDER_NAMES:
+            raise ValueError(f"unknown cloud provider {self.provider!r}")
         if not 0.0 < self.credit_fraction <= 1.0:
             raise ValueError("credit_fraction must be in (0, 1]")
         if self.horizon_days <= 0:
@@ -105,9 +107,6 @@ class ExecutionConfig:
         """The paired configuration with a (different) SpeQuloS setup."""
         return replace(self, strategy=strategy,
                        strategy_threshold=threshold)
-
-    def with_seed(self, seed: int) -> "ExecutionConfig":
-        return replace(self, seed=seed)
 
     def with_credit_fraction(self, fraction: float) -> "ExecutionConfig":
         return replace(self, credit_fraction=fraction)
@@ -180,52 +179,32 @@ class MultiTenantConfig:
     max_nodes: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.trace not in TRACE_NAMES:
-            raise ValueError(f"unknown trace {self.trace!r}")
-        if self.middleware not in MIDDLEWARE_NAMES:
-            raise ValueError(f"unknown middleware {self.middleware!r}")
-        if self.n_tenants < 1:
-            raise ValueError("n_tenants must be >= 1")
-        if not self.categories:
-            raise ValueError("categories must be non-empty")
-        for cat in self.categories:
-            if cat.upper() not in BOT_CATEGORIES:
-                raise ValueError(f"unknown BoT category {cat!r}")
-        if self.policy not in ARBITRATION_POLICIES:
-            raise ValueError(f"unknown arbitration policy {self.policy!r}")
-        if self.arrival_rate_per_hour <= 0:
-            raise ValueError("arrival_rate_per_hour must be positive")
-        if self.arrivals is not None and len(self.arrivals) != self.n_tenants:
-            raise ValueError("arrivals must list one instant per tenant")
-        if not 0.0 < self.pool_fraction <= 1.0:
-            raise ValueError("pool_fraction must be in (0, 1]")
-        if self.horizon_days <= 0:
-            raise ValueError("horizon_days must be positive")
+        # the scenario form carries every check (DCISpec: trace,
+        # middleware, provider, max_nodes; ScenarioConfig: the rest)
+        self.as_scenario()
 
     # ------------------------------------------------------------------
+    def as_scenario(self) -> "ScenarioConfig":
+        """This scenario as a one-DCI federation — the form
+        :func:`~repro.experiments.runner.run_multi_tenant` simulates."""
+        dci = DCISpec(trace=self.trace, middleware=self.middleware,
+                      provider=self.provider, name=self.env_name(),
+                      max_nodes=self.max_nodes)
+        return ScenarioConfig(
+            dcis=(dci,), seed=self.seed, n_tenants=self.n_tenants,
+            categories=self.categories, strategy=self.strategy,
+            strategy_threshold=self.strategy_threshold,
+            policy=self.policy,
+            arrival_rate_per_hour=self.arrival_rate_per_hour,
+            arrivals=self.arrivals, bot_size=self.bot_size,
+            pool_fraction=self.pool_fraction,
+            max_total_workers=self.max_total_workers,
+            deadline_factor=self.deadline_factor,
+            horizon_days=self.horizon_days)
+
     def with_policy(self, policy: str) -> "MultiTenantConfig":
         """The paired scenario under a different arbitration policy."""
         return replace(self, policy=policy)
-
-    @property
-    def horizon(self) -> float:
-        return self.horizon_days * 86400.0
-
-    def expected_total_size(self) -> int:
-        """Nominal aggregate task count across the tenant stream."""
-        return sum(
-            _category_size(self.categories[i % len(self.categories)],
-                           self.bot_size)
-            for i in range(self.n_tenants))
-
-    def node_cap(self) -> int:
-        """Materialized node count — same rule as
-        :meth:`ExecutionConfig.node_cap`, sized for the aggregate
-        concurrent demand of all tenants."""
-        if self.max_nodes is not None:
-            return self.max_nodes
-        return _auto_node_cap(self.trace, self.middleware,
-                              self.expected_total_size())
 
     def env_name(self) -> str:
         return f"{self.trace}-{self.middleware}"

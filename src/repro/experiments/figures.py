@@ -54,7 +54,11 @@ from repro.history import (
 )
 from repro.experiments.config import CampaignScale, ExecutionConfig, get_scale
 from repro.experiments.report import ExperimentReport, Series, TextTable
-from repro.experiments.runner import ExecutionResult, run_campaign
+from repro.experiments.runner import (
+    ExecutionResult,
+    run_campaign,
+    run_execution,
+)
 from repro.infra.catalog import TRACE_NAMES, get_trace_spec, list_trace_specs
 from repro.infra.stats import measure_trace
 from repro.workload.categories import BOT_CATEGORIES
@@ -1083,7 +1087,8 @@ def ablation_middleware_report(scale: Optional[CampaignScale] = None
     rep = ExperimentReport(
         "Ablation A3", "Middleware timeout knobs vs tail slowdown "
                        "(no SpeQuloS)")
-    from repro.experiments.runner import run_execution_with_middleware
+    from repro.middleware.boinc import BoincConfig
+    from repro.middleware.xwhep import XWHepConfig
     table = TextTable(
         "Tail slowdown sensitivity",
         ["middleware", "knob", "value (s)", "mean slowdown"],
@@ -1100,8 +1105,8 @@ def ablation_middleware_report(scale: Optional[CampaignScale] = None
                                   bot_size=scale.bot_size("SMALL"))
             res = run_cached(
                 cfg, extra={"delay_bound": db},
-                compute=lambda: run_execution_with_middleware(
-                    cfg, delay_bound=db))
+                compute=lambda: run_execution(
+                    cfg, middleware_config=BoincConfig(delay_bound=db)))
             slows.append(res.slowdown)
         table.add_row("boinc", "delay_bound", f"{db:.0f}",
                       f"{float(np.mean(slows)):.2f}")
@@ -1113,8 +1118,8 @@ def ablation_middleware_report(scale: Optional[CampaignScale] = None
                                   bot_size=scale.bot_size("SMALL"))
             res = run_cached(
                 cfg, extra={"worker_timeout": wt},
-                compute=lambda: run_execution_with_middleware(
-                    cfg, worker_timeout=wt))
+                compute=lambda: run_execution(
+                    cfg, middleware_config=XWHepConfig(worker_timeout=wt)))
             slows.append(res.slowdown)
         table.add_row("xwhep", "worker_timeout", f"{wt:.0f}",
                       f"{float(np.mean(slows)):.2f}")

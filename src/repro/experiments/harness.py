@@ -1,17 +1,16 @@
 """Scenario harness: the single world-assembly path for all executions.
 
-Every execution family — single-BoT (:func:`~repro.experiments.runner.
-run_execution`), multi-tenant (:func:`~repro.experiments.runner.
-run_multi_tenant`), federated (:func:`~repro.experiments.runner.
-run_federated`) and the EDGI deployment preset — used to assemble its
-world by hand: synthesize trace realizations, wrap them in node pools,
-stand up middleware servers, cloud drivers and one SpeQuloS service,
-wire completion observers, and collect accounting afterwards.  The
-:class:`ScenarioHarness` centralizes that assembly so the entry points
-are thin specializations of one federated-capable path: N DCIs (each a
-trace realization + middleware server + cloud driver), one lazily
-created SpeQuloS over all of them, shared stop-on-completion watchers
-and per-DCI accounting probes.
+Both simulation paths of :mod:`repro.experiments.runner` — the
+single-BoT :func:`~repro.experiments.runner.run_execution` and the
+tenant stream behind :func:`~repro.experiments.runner.run_federated`
+(whose one-DCI projection is :func:`~repro.experiments.runner.
+run_multi_tenant`) — and the EDGI deployment preset assemble their
+worlds here: trace realizations wrapped in node pools, middleware
+servers, cloud drivers and one SpeQuloS service, completion observers
+and accounting afterwards.  A :class:`ScenarioHarness` holds N DCIs
+(each a trace realization + middleware server + cloud driver), one
+lazily created SpeQuloS over all of them, shared stop-on-completion
+watchers and per-DCI accounting probes.
 
 RNG discipline (drift-critical): every component draws from an
 independent, explicitly labelled stream —
@@ -388,10 +387,6 @@ class ScenarioHarness:
             for dci in self.dcis.values():
                 self._service.connect_dci(dci.name, dci.server, dci.driver)
         return self._service
-
-    @property
-    def has_service(self) -> bool:
-        return self._service is not None
 
     # ------------------------------------------------------------------
     # submission

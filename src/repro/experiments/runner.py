@@ -2,20 +2,19 @@
 campaign fan-out.
 
 All world assembly lives in the :class:`~repro.experiments.harness.
-ScenarioHarness`: each entry point below builds its DCIs, service and
-submission stream through the harness and only keeps its own result
-shaping.  Three scenario families share the path:
+ScenarioHarness`; the runners below build their DCIs, service and
+submission stream through it and only keep their own result shaping.
+Two simulation paths remain:
 
 * :func:`run_execution` — one BoT on one BE-DCI (optionally with
-  SpeQuloS), the paper's §4 campaign unit;
-* :func:`run_multi_tenant` — N users' BoTs arriving over time on *one*
-  shared BE-DCI + Cloud + credit pool under an arbitration policy —
-  the contention regime of the EDGI deployment (§5);
-* :func:`run_federated` — N users' BoTs over *several* DCIs, each its
-  own trace realization, middleware and cloud, with a routing policy
-  assigning BoTs to DCIs and one arbiter policing the global worker
-  budget and the shared pool — the paper's headline topology (Figure
-  8) as a reproducible scenario family.
+  SpeQuloS and a private credit order), the paper's §4 campaign unit;
+* the tenant stream — N users' BoTs arriving over time, QoS-ordered
+  against one shared credit pool, routed over one or more DCIs (each
+  its own trace realization, middleware and cloud) while one arbiter
+  polices the global worker budget: the SpeQuloS deployment of §5,
+  Figure 8.  :func:`run_federated` exposes it whole;
+  :func:`run_multi_tenant` is its one-DCI projection, the contention
+  regime of a single shared BE-DCI.
 
 Trace realizations are cached per (trace, seed-stream, cap, horizon)
 with true LRU eviction (``REPRO_TRACE_CACHE`` entries, hit/miss
@@ -25,8 +24,8 @@ counters on :data:`~repro.experiments.harness.TRACE_CACHE`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Type
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -211,7 +210,7 @@ def run_execution(cfg: ExecutionConfig,
 
 
 # ---------------------------------------------------------------------------
-# multi-tenant scenarios (shared-service regime, §5)
+# tenant streams: N users' BoTs over one or more DCIs (§5, Fig. 8)
 # ---------------------------------------------------------------------------
 @dataclass
 class TenantOutcome:
@@ -232,52 +231,50 @@ class TenantOutcome:
     workers_launched: int
 
 
+@dataclass
+class FederatedTenantOutcome(TenantOutcome):
+    """A tenant's outcome plus the DCI its BoT was routed to."""
+
+    #: resolved DCI name, or "-" when never admitted before the horizon
+    dci: str = "-"
+    #: admission verdict on the QoS order ("granted" | "rejected" |
+    #: "deferred"; "-" when the tenant never arrived before the horizon)
+    admission: str = "granted"
+
+
 def _tenant_outcome(service: SpeQuloS, sub: TenantSubmission,
-                    horizon: float, cls: Type = TenantOutcome,
-                    **extra) -> TenantOutcome:
-    """Collect one admitted tenant's outcome (settling its accounts)."""
-    run = service.run_for(sub.bot_id)
-    service.scheduler.finalize(run)  # settle accounts if censored
-    mon = service.monitor(sub.bot_id)
-    profile, censored = _observed_profile(mon, horizon)
-    order = service.credits.get_order(sub.bot_id)
-    return cls(
+                    horizon: float, dci: str,
+                    admission: str) -> FederatedTenantOutcome:
+    """Collect one tenant's outcome (settling its accounts).  A tenant
+    never admitted before the horizon is fully censored."""
+    run = service.scheduler.runs.get(sub.bot_id)
+    if run is None:
+        span = max(0.0, horizon - sub.arrival)
+        profile = CompletionProfile(np.full(sub.bot.size, span))
+        censored, spent, workers = True, 0.0, 0
+    else:
+        service.scheduler.finalize(run)  # settle accounts if censored
+        profile, censored = _observed_profile(
+            service.monitor(sub.bot_id), horizon)
+        order = service.credits.get_order(sub.bot_id)
+        spent = order.spent if order is not None else 0.0
+        workers = run.workers_launched
+    return FederatedTenantOutcome(
         user=sub.user, bot_id=sub.bot_id, category=sub.bot.category,
         arrival=sub.arrival, deadline=sub.deadline, n_tasks=sub.bot.size,
         makespan=profile.makespan, censored=censored,
         ideal_time=ideal_completion_time(profile),
-        slowdown=tail_slowdown(profile),
-        credits_spent=order.spent if order is not None else 0.0,
-        workers_launched=run.workers_launched, **extra)
+        slowdown=tail_slowdown(profile), credits_spent=spent,
+        workers_launched=workers, dci=dci, admission=admission)
 
 
-def _unadmitted_outcome(sub: TenantSubmission, horizon: float,
-                        cls: Type = TenantOutcome, **extra) -> TenantOutcome:
-    """A tenant never admitted before the horizon: fully censored."""
-    span = max(0.0, horizon - sub.arrival)
-    profile = CompletionProfile(np.full(sub.bot.size, span))
-    return cls(
-        user=sub.user, bot_id=sub.bot_id, category=sub.bot.category,
-        arrival=sub.arrival, deadline=sub.deadline, n_tasks=sub.bot.size,
-        makespan=profile.makespan, censored=True,
-        ideal_time=ideal_completion_time(profile),
-        slowdown=tail_slowdown(profile),
-        credits_spent=0.0, workers_launched=0, **extra)
+class _TenantStreamStats:
+    """Scenario statistics over ``tenants`` and the shared pool —
+    mixed into both tenant-stream result types."""
 
-
-@dataclass
-class MultiTenantResult:
-    """Scenario-level outcome: per-tenant records + shared accounting."""
-
-    config: MultiTenantConfig
-    tenants: List[TenantOutcome]
+    tenants: Sequence[TenantOutcome]
     pool_provisioned: float
     pool_spent: float
-    #: peak number of simultaneously alive Cloud workers (arbitration
-    #: must keep this within the configured global budget)
-    workers_peak: int
-    events: int
-    wall_seconds: float
 
     @property
     def slowdowns(self) -> np.ndarray:
@@ -293,8 +290,9 @@ class MultiTenantResult:
 
     @property
     def slowdown_spread(self) -> float:
-        """Max/min per-tenant slowdown — the arbitration fairness
-        figure of merit (1.0 = perfectly even service)."""
+        """Max/min per-tenant slowdown — the fairness figure of merit
+        of arbitration and routing together (1.0 = perfectly even
+        service)."""
         return max_min_ratio(self.slowdowns)
 
     @property
@@ -309,79 +307,19 @@ class MultiTenantResult:
         return 100.0 * self.pool_spent / self.pool_provisioned
 
 
-def run_multi_tenant(cfg: MultiTenantConfig) -> MultiTenantResult:
-    """Simulate N concurrent tenants sharing one DCI, Cloud and pool.
-
-    One simulation hosts every tenant: BoTs are QoS-registered and
-    submitted at their arrival instants, all bill the same credit pool,
-    and the configured :class:`~repro.core.scheduler.CloudArbiter`
-    polices the shared worker budget.  The run stops when every BoT
-    completes (or at the horizon — stragglers are censored).
-    """
-    wall0 = time.perf_counter()
-    horizon = cfg.horizon
-
-    arbiter = CloudArbiter(cfg.policy,
-                           max_total_workers=cfg.max_total_workers)
-    harness = ScenarioHarness(horizon, arbiter=arbiter)
-    dci = harness.build_dci(cfg.env_name(), cfg.trace, cfg.middleware,
-                            cfg.seed, cfg.node_cap(),
-                            provider=cfg.provider)
-    service = harness.service
-
-    combo = _resolve_combo(cfg.strategy, cfg.strategy_threshold)
-    tenants = generate_tenants(
-        np.random.default_rng([cfg.seed, 0x7E7]), cfg.n_tenants,
-        categories=cfg.categories,
-        rate_per_hour=cfg.arrival_rate_per_hour,
-        arrivals=cfg.arrivals, bot_size=cfg.bot_size,
-        deadline_factor=cfg.deadline_factor)
-
-    total_cpu_hours = sum(sub.bot.workload_cpu_hours for sub in tenants)
-    provision = cfg.pool_fraction * total_cpu_hours * CREDITS_PER_CPU_HOUR
-    pool_id = f"pool-{cfg.seed}"
-    service.credits.deposit("tenants", provision)
-    service.open_qos_pool(pool_id, "tenants", provision,
-                          expected_members=cfg.n_tenants)
-
-    harness.stop_when_complete(sub.bot_id for sub in tenants)
-
-    def _admit(sub: TenantSubmission) -> None:
-        harness.admit_pooled(sub, cfg.env_name(), combo, pool_id)
-
-    for sub in tenants:
-        if sub.arrival < horizon:
-            harness.sim.at(sub.arrival, _admit, sub)
-    harness.run()
-
-    outcomes: List[TenantOutcome] = []
-    for sub in tenants:
-        if sub.bot_id not in service.scheduler.runs:
-            outcomes.append(_unadmitted_outcome(sub, horizon))
-        else:
-            outcomes.append(_tenant_outcome(service, sub, horizon))
-
-    spent, _refund = service.credits.close_pool(pool_id)
-    return MultiTenantResult(
-        config=cfg, tenants=outcomes,
-        pool_provisioned=provision, pool_spent=spent,
-        workers_peak=dci.driver.peak_concurrency(),
-        events=harness.sim.events_processed,
-        wall_seconds=time.perf_counter() - wall0)
-
-
-# ---------------------------------------------------------------------------
-# federated scenarios (one SpeQuloS over many DCIs and clouds, §5 Fig. 8)
-# ---------------------------------------------------------------------------
 @dataclass
-class FederatedTenantOutcome(TenantOutcome):
-    """A tenant's outcome plus the DCI its BoT was routed to."""
+class MultiTenantResult(_TenantStreamStats):
+    """Scenario-level outcome: per-tenant records + shared accounting."""
 
-    #: resolved DCI name, or "-" when never admitted before the horizon
-    dci: str = "-"
-    #: admission verdict on the QoS order ("granted" | "rejected" |
-    #: "deferred"; "-" when the tenant never arrived before the horizon)
-    admission: str = "granted"
+    config: MultiTenantConfig
+    tenants: List[TenantOutcome]
+    pool_provisioned: float
+    pool_spent: float
+    #: peak number of simultaneously alive Cloud workers (arbitration
+    #: must keep this within the configured global budget)
+    workers_peak: int
+    events: int
+    wall_seconds: float
 
 
 @dataclass
@@ -411,7 +349,7 @@ class DCIOutcome:
 
 
 @dataclass
-class FederatedResult:
+class FederatedResult(_TenantStreamStats):
     """Federated scenario outcome: per-tenant + per-DCI accounting."""
 
     config: ScenarioConfig
@@ -424,32 +362,6 @@ class FederatedResult:
     workers_peak: int
     events: int
     wall_seconds: float
-
-    @property
-    def slowdowns(self) -> np.ndarray:
-        return np.asarray([t.slowdown for t in self.tenants])
-
-    @property
-    def censored_count(self) -> int:
-        return sum(1 for t in self.tenants if t.censored)
-
-    @property
-    def slowdown_spread(self) -> float:
-        """Max/min per-tenant slowdown across the whole federation —
-        the cross-DCI fairness figure of merit (routing + arbitration
-        together)."""
-        return max_min_ratio(self.slowdowns)
-
-    @property
-    def fairness(self) -> float:
-        """Jain's index over per-tenant slowdowns."""
-        return jain_fairness_index(self.slowdowns)
-
-    @property
-    def pool_used_pct(self) -> float:
-        if self.pool_provisioned <= 0:
-            return 0.0
-        return 100.0 * self.pool_spent / self.pool_provisioned
 
     def credits_by_provider(self) -> Dict[str, float]:
         """Pool spend split per cloud provider (economics plane view);
@@ -471,21 +383,16 @@ class FederatedResult:
         return out
 
 
-def run_federated(cfg: ScenarioConfig) -> FederatedResult:
-    """Simulate N tenants over a federation of DCIs and clouds.
+def _run_tenant_stream(cfg: ScenarioConfig,
+                       streams: Sequence[Tuple[int, ...]]
+                       ) -> FederatedResult:
+    """The one tenant-stream simulation behind both public runners.
 
-    One simulation hosts everything: each DCI realizes its own trace
-    (independent RNG stream per DCI index), the routing policy assigns
-    every arriving BoT to a DCI, and a single
-    :class:`~repro.core.scheduler.CloudArbiter` rations the global
-    worker budget, the optional per-DCI caps and the one shared credit
-    pool across all bindings.
-
-    The scenario's history plane (``cfg.history``: fresh in-memory by
-    default, the shared persistent archive on request) feeds the
-    Oracle's α calibration, the history-driven routing policies and
-    — when ``cfg.admission`` is set — the admission controller gating
-    pooled QoS orders on predicted credit cost.
+    ``streams`` gives each DCI's RNG stream label (see
+    :meth:`~repro.experiments.harness.ScenarioHarness.build_dci`):
+    ``(i,)`` per DCI index in a federation, ``()`` for the single-DCI
+    shared service, whose historical realizations the multi-tenant
+    goldens pin.
     """
     wall0 = time.perf_counter()
     horizon = cfg.horizon
@@ -508,10 +415,10 @@ def run_federated(cfg: ScenarioConfig) -> FederatedResult:
     book = PriceBook.from_pairs(cfg.price_map().items())
     harness = ScenarioHarness(horizon, arbiter=arbiter, history=plane,
                               pricebook=book)
-    for i, spec in enumerate(cfg.dcis):
-        harness.build_dci(names[i], spec.trace, spec.middleware, cfg.seed,
+    for name, spec, stream in zip(names, cfg.dcis, streams):
+        harness.build_dci(name, spec.trace, spec.middleware, cfg.seed,
                           cfg.node_cap_for(spec), provider=spec.provider,
-                          stream=(i,))
+                          stream=stream)
     service = harness.service
 
     combo = _resolve_combo(cfg.strategy, cfg.strategy_threshold)
@@ -524,7 +431,7 @@ def run_federated(cfg: ScenarioConfig) -> FederatedResult:
 
     total_cpu_hours = sum(sub.bot.workload_cpu_hours for sub in tenants)
     provision = cfg.pool_fraction * total_cpu_hours * CREDITS_PER_CPU_HOUR
-    pool_id = f"fedpool-{cfg.seed}"
+    pool_id = f"pool-{cfg.seed}"
     service.credits.deposit("tenants", provision)
     service.open_qos_pool(pool_id, "tenants", provision,
                           expected_members=cfg.n_tenants)
@@ -549,17 +456,10 @@ def run_federated(cfg: ScenarioConfig) -> FederatedResult:
             harness.sim.at(sub.arrival, _admit, sub)
     harness.run()
 
-    outcomes: List[FederatedTenantOutcome] = []
-    for sub in tenants:
-        if sub.bot_id not in service.scheduler.runs:
-            outcomes.append(_unadmitted_outcome(
-                sub, horizon, cls=FederatedTenantOutcome,
-                admission="-"))
-        else:
-            outcomes.append(_tenant_outcome(
-                service, sub, horizon, cls=FederatedTenantOutcome,
-                dci=routed[sub.bot_id],
-                admission=admissions[sub.bot_id]))
+    outcomes = [_tenant_outcome(service, sub, horizon,
+                                dci=routed.get(sub.bot_id, "-"),
+                                admission=admissions.get(sub.bot_id, "-"))
+                for sub in tenants]
 
     dci_outcomes: List[DCIOutcome] = []
     for name, spec in zip(names, cfg.dcis):
@@ -589,33 +489,45 @@ def run_federated(cfg: ScenarioConfig) -> FederatedResult:
         wall_seconds=time.perf_counter() - wall0)
 
 
-# ---------------------------------------------------------------------------
-def run_execution_with_middleware(cfg: ExecutionConfig,
-                                  delay_bound: Optional[float] = None,
-                                  worker_timeout: Optional[float] = None,
-                                  **kwargs) -> ExecutionResult:
-    """Ablation entry point: run with overridden middleware knobs."""
-    if cfg.middleware == "boinc":
-        from repro.middleware.boinc import BoincConfig
-        base = BoincConfig()
-        mw_cfg = BoincConfig(
-            target_nresults=kwargs.get("target_nresults",
-                                       base.target_nresults),
-            min_quorum=kwargs.get("min_quorum", base.min_quorum),
-            delay_bound=delay_bound if delay_bound is not None
-            else base.delay_bound,
-            one_result_per_user_per_wu=kwargs.get(
-                "one_result_per_user_per_wu",
-                base.one_result_per_user_per_wu))
-    else:
-        from repro.middleware.xwhep import XWHepConfig
-        base = XWHepConfig()
-        mw_cfg = XWHepConfig(
-            keep_alive_period=kwargs.get("keep_alive_period",
-                                         base.keep_alive_period),
-            worker_timeout=worker_timeout if worker_timeout is not None
-            else base.worker_timeout)
-    return run_execution(cfg, middleware_config=mw_cfg)
+def run_federated(cfg: ScenarioConfig) -> FederatedResult:
+    """Simulate N tenants over a federation of DCIs and clouds.
+
+    One simulation hosts everything: each DCI realizes its own trace
+    (independent RNG stream per DCI index), the routing policy assigns
+    every arriving BoT to a DCI, and a single
+    :class:`~repro.core.scheduler.CloudArbiter` rations the global
+    worker budget, the optional per-DCI caps and the one shared credit
+    pool across all bindings.  BoTs are QoS-registered and submitted
+    at their arrival instants; the run stops when every BoT completes
+    (or at the horizon — stragglers are censored).
+
+    The scenario's history plane (``cfg.history``: fresh in-memory by
+    default, the shared persistent archive on request) feeds the
+    Oracle's α calibration, the history-driven routing policies and
+    — when ``cfg.admission`` is set — the admission controller gating
+    pooled QoS orders on predicted credit cost.
+    """
+    return _run_tenant_stream(
+        cfg, streams=tuple((i,) for i in range(len(cfg.dcis))))
+
+
+def run_multi_tenant(cfg: MultiTenantConfig) -> MultiTenantResult:
+    """Simulate N concurrent tenants sharing one DCI, Cloud and pool.
+
+    The one-DCI projection of :func:`run_federated`: the scenario runs
+    as :meth:`~repro.experiments.config.MultiTenantConfig.as_scenario`
+    on the single-DCI RNG stream, and the result drops the routing and
+    per-DCI columns.
+    """
+    fed = _run_tenant_stream(cfg.as_scenario(), streams=((),))
+    names = [f.name for f in fields(TenantOutcome)]
+    return MultiTenantResult(
+        config=cfg,
+        tenants=[TenantOutcome(**{n: getattr(t, n) for n in names})
+                 for t in fed.tenants],
+        pool_provisioned=fed.pool_provisioned, pool_spent=fed.pool_spent,
+        workers_peak=fed.workers_peak, events=fed.events,
+        wall_seconds=fed.wall_seconds)
 
 
 # ---------------------------------------------------------------------------

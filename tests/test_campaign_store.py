@@ -1,11 +1,13 @@
 """Content-addressed store: digests, lossless round-trips, stats."""
 
 import dataclasses
+import sqlite3
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.campaign.executor import CampaignExecutor
 from repro.campaign.store import (
     ResultStore,
     comparable_payload,
@@ -13,8 +15,17 @@ from repro.campaign.store import (
     decode_result,
     encode_result,
 )
-from repro.experiments.config import ExecutionConfig, MultiTenantConfig
-from repro.experiments.runner import run_execution, run_multi_tenant
+from repro.experiments.config import (
+    DCISpec,
+    ExecutionConfig,
+    MultiTenantConfig,
+    ScenarioConfig,
+)
+from repro.experiments.runner import (
+    run_execution,
+    run_federated,
+    run_multi_tenant,
+)
 
 
 def quick_cfg(**kw):
@@ -37,7 +48,7 @@ def test_digest_changes_when_any_config_field_changes():
     variants = dict(trace="seti", middleware="boinc", category="BIG",
                     seed=6, strategy="9C-C-R", strategy_threshold=0.8,
                     credit_fraction=0.2, bot_size=41, max_nodes=10,
-                    horizon_days=10.0, provider="amazon-ec2")
+                    horizon_days=10.0, provider="ec2")
     assert set(variants) == {f.name for f in dataclasses.fields(base)}
     for field, value in variants.items():
         changed = dataclasses.replace(base, **{field: value})
@@ -271,6 +282,63 @@ def test_breakdown_splits_current_and_stale(tmp_path):
 def test_in_memory_store_reports_zero_file_bytes(store):
     assert store.file_bytes() == 0
     assert store.gc() == (0, 0)
+
+
+# ------------------------------------------------------------ torn rows
+def tear_payload(path, digest):
+    """Cut one stored payload to half its length (a torn write)."""
+    with sqlite3.connect(path) as conn:
+        (payload,) = conn.execute(
+            "SELECT payload FROM results WHERE digest = ?",
+            (digest,)).fetchone()
+        conn.execute("UPDATE results SET payload = ? WHERE digest = ?",
+                     (payload[:len(payload) // 2], digest))
+    conn.close()
+
+
+TORN_CASES = [
+    (quick_cfg(strategy="9C-C-R"), run_execution),
+    (MultiTenantConfig(trace="nd", middleware="xwhep", seed=3,
+                       n_tenants=2, bot_size=20, max_total_workers=4),
+     run_multi_tenant),
+    (ScenarioConfig(dcis=(DCISpec("nd", "xwhep"), DCISpec("seti", "boinc")),
+                    seed=3, n_tenants=2, bot_size=20),
+     run_federated),
+]
+
+
+@pytest.mark.parametrize("cfg, run", TORN_CASES,
+                         ids=["execution", "multi_tenant", "federated"])
+def test_torn_row_is_recomputed_by_the_executor(tmp_path, cfg, run):
+    path = str(tmp_path / "store.sqlite")
+    store = ResultStore(path)
+    store.put(cfg, run(cfg))
+    tear_payload(path, store.digest(cfg))
+    (result,) = CampaignExecutor(store=store, n_jobs=1).run([cfg])
+    fresh = run(cfg)
+    assert (comparable_payload(encode_result(result)[1])
+            == comparable_payload(encode_result(fresh)[1]))
+    assert store.stats.corrupt == 1
+    assert store.stats.conflicts == 0
+    assert "1 corrupt rows dropped" in store.stats.summary()
+    # the recomputed row replaced the torn one and decodes
+    assert store.get(cfg) is not None
+    store.close()
+
+
+def test_gc_reclaims_torn_current_rows(tmp_path):
+    path = str(tmp_path / "store.sqlite")
+    store = ResultStore(path)
+    torn, whole = quick_cfg(), quick_cfg(seed=6)
+    store.put(torn, run_execution(torn))
+    store.put(whole, run_execution(whole))
+    tear_payload(path, store.digest(torn))
+    rows, nbytes = store.gc()
+    assert rows == 1 and nbytes > 0
+    assert store.stats.corrupt == 1
+    assert not store.contains(torn) and store.contains(whole)
+    assert store.gc() == (0, 0)
+    store.close()
 
 
 # ------------------------------------------------------------- persistence

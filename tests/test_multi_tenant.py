@@ -155,6 +155,8 @@ def test_multi_tenant_config_validation():
         MultiTenantConfig(**good, n_tenants=2, arrivals=(0.0,))
     with pytest.raises(ValueError):
         MultiTenantConfig(**good, pool_fraction=0.0)
+    with pytest.raises(ValueError):
+        MultiTenantConfig(**good, provider="nosuchcloud")
 
 
 # ------------------------------------------------- the contended scenario

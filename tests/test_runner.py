@@ -8,11 +8,9 @@ from repro.experiments.config import (
     ExecutionConfig,
     get_scale,
 )
-from repro.experiments.runner import (
-    run_campaign,
-    run_execution,
-    run_execution_with_middleware,
-)
+from repro.experiments.runner import run_campaign, run_execution
+from repro.middleware.boinc import BoincConfig
+from repro.middleware.xwhep import XWHepConfig
 
 
 def quick_cfg(**kw):
@@ -32,6 +30,8 @@ def test_config_validation():
         quick_cfg(category="HUGE")
     with pytest.raises(ValueError):
         quick_cfg(credit_fraction=0.0)
+    with pytest.raises(ValueError):
+        quick_cfg(provider="nosuchcloud")
 
 
 def test_with_strategy_pairs_configs():
@@ -114,17 +114,17 @@ def test_speq_never_slower_much_and_often_faster():
 
 
 def test_middleware_override_runner():
-    slow = run_execution_with_middleware(
-        quick_cfg(middleware="xwhep", seed=12), worker_timeout=3600.0)
-    fast = run_execution_with_middleware(
-        quick_cfg(middleware="xwhep", seed=12), worker_timeout=120.0)
+    slow = run_execution(quick_cfg(middleware="xwhep", seed=12),
+                         middleware_config=XWHepConfig(worker_timeout=3600.0))
+    fast = run_execution(quick_cfg(middleware="xwhep", seed=12),
+                         middleware_config=XWHepConfig(worker_timeout=120.0))
     # longer detection can only delay completion
     assert slow.makespan >= fast.makespan - 1e-6
 
 
 def test_boinc_delay_bound_override():
-    res = run_execution_with_middleware(
-        quick_cfg(middleware="boinc", seed=13), delay_bound=3600.0)
+    res = run_execution(quick_cfg(middleware="boinc", seed=13),
+                        middleware_config=BoincConfig(delay_bound=3600.0))
     assert res.makespan > 0
 
 
