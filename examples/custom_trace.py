@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.core.service import SpeQuloS
 from repro.cloud.registry import get_driver
+from repro.infra.columns import NodeColumns
 from repro.infra.fta import load_trace, save_trace
 from repro.infra.pool import NodePool
 from repro.infra.stats import measure_trace
@@ -69,7 +70,7 @@ def main() -> None:
 
     def run(with_speq: bool) -> tuple:
         sim = Simulation(horizon=30 * DAY)
-        pool = NodePool(load_trace(io.StringIO(text)),
+        pool = NodePool(NodeColumns.from_nodes(nodes),
                         rng=np.random.default_rng(7))
         srv = XWHepServer(sim, pool)
         # 150 one-hour tasks submitted Monday 10:00

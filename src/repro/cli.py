@@ -519,8 +519,9 @@ def _cmd_history(args) -> int:
                       f"{cost:>10.3f} credits/task")
         return 0
     rows, nbytes = store.gc()
-    print(f"history gc: reclaimed {rows} stale rows "
-          f"({nbytes} grid bytes) — {store.path}")
+    print(f"history gc: reclaimed {rows - store.corrupt} stale rows and "
+          f"{store.corrupt} corrupt rows ({nbytes} grid bytes) — "
+          f"{store.path}")
     if args.max_per_env is not None or args.max_age_days is not None:
         pruned, pbytes = store.prune(max_per_env=args.max_per_env,
                                      max_age_days=args.max_age_days)

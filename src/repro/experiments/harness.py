@@ -33,14 +33,16 @@ several traces per execution and would silently thrash a smaller
 cache).  L2 is the content-addressed on-disk
 :class:`~repro.experiments.trace_store.TraceStore` shared across
 processes: an L1 miss first tries the store (memory-mapped, no
-regeneration), and fresh realizations are archived on the way in, so
+regeneration, validated into a columns template on the way in — an
+entry that decodes but fails validation is dropped as ``corrupt`` and
+regenerated), and fresh realizations are archived on the way in, so
 `CampaignExecutor` shards — keyed by ``(trace, seed)`` — land on warm
 entries by construction.  Hit/miss/eviction counters are kept on the
-cache object; ``disk_hits`` counts L2 promotions.  Only raw interval
+cache object; ``disk_hits`` counts L2 promotions.  Only interval
 arrays are cached, and they are **read-only** (a mutating consumer
 fails loudly instead of silently corrupting every future execution
-sharing the realization) — Node objects carry a scan cursor and are
-rebuilt per execution.
+sharing the realization) — scan cursors are per execution, and every
+DCI's pool applies its realization's cached ``NodePool.file`` filing.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from repro.history import HistoryPlane
 from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
 from repro.infra.node import Node
-from repro.infra.pool import NodePool
+from repro.infra.pool import Filing, NodePool
 from repro.middleware import resolve_server
 from repro.middleware.base import DGServer
 from repro.simulator.engine import Simulation
@@ -80,32 +82,34 @@ _RawNodes = List[Tuple[np.ndarray, np.ndarray, float, str]]
 
 
 class _CacheEntry:
-    """One cached realization: flat store-layout arrays and/or the
+    """One cached realization: a validated columns template and/or the
     per-node raw view list, whichever was cheapest to obtain.
 
-    Disk hits arrive flat (five array handles); the per-node views are
-    only built if an object-Node consumer actually asks
-    (:meth:`TraceCache.materialize`) — columnar consumers go straight
-    to :meth:`~repro.infra.columns.NodeColumns.from_flat` and never
-    pay the 10^5-iteration split.  Generated realizations arrive raw.
+    Disk hits arrive flat and become a zero-copy
+    :meth:`~repro.infra.columns.NodeColumns.from_flat` template; the
+    per-node views are only split off it if an object-Node consumer
+    actually asks (:meth:`TraceCache.materialize`), so columnar
+    consumers never pay the 10^5-iteration split.  Generated
+    realizations arrive raw.
     """
 
-    __slots__ = ("flat", "_raw")
+    __slots__ = ("template", "_raw")
 
-    def __init__(self, flat: Optional[Tuple] = None,
+    def __init__(self, template: Optional[NodeColumns] = None,
                  raw: Optional[_RawNodes] = None):
-        self.flat = flat
+        self.template = template
         self._raw = raw
 
     @property
     def raw(self) -> _RawNodes:
         if self._raw is None:
-            starts, ends, bounds, powers, tags = self.flat
+            cols = self.template
+            o = cols.offsets
             self._raw = [
-                (np.asarray(starts[bounds[i]:bounds[i + 1]]),
-                 np.asarray(ends[bounds[i]:bounds[i + 1]]),
-                 float(powers[i]), tags[i])
-                for i in range(bounds.shape[0] - 1)]
+                (np.asarray(cols.starts[o[i]:o[i + 1]]),
+                 np.asarray(cols.ends[o[i]:o[i + 1]]),
+                 float(cols.power[i]), cols.tags[i])
+                for i in range(cols.n)]
         return self._raw
 
 
@@ -147,14 +151,14 @@ class TraceCache:
     def columns_template(self, trace: str, seed: int, cap: int,
                          horizon: float,
                          stream: Sequence[int] = ()) -> NodeColumns:
-        """One realization as an immutable columnar template, built
-        afresh from the cached arrays on every call (the caller keeps
-        it — see :class:`AssemblyCache`; executions run on its
+        """One realization as an immutable columnar template with its
+        own cursor, over the cached arrays (the caller keeps it — see
+        :class:`AssemblyCache`; executions run on its
         :meth:`~repro.infra.columns.NodeColumns.fresh` cursor copies).
         """
         entry = self._entry_for((trace, (seed, *stream), cap, horizon))
-        if entry.flat is not None:
-            return NodeColumns.from_flat(*entry.flat)
+        if entry.template is not None:
+            return entry.template.fresh()
         return NodeColumns.from_raw(entry.raw)
 
     def _entry_for(self, key: _TraceKey) -> "_CacheEntry":
@@ -176,8 +180,10 @@ class TraceCache:
     def _materialize_miss(self, key: _TraceKey) -> "_CacheEntry":
         """L1 miss: promote from the disk store, else generate + archive.
 
-        Disk promotions stay in the store's flat layout (per-node views
-        are only split off lazily, see :class:`_CacheEntry`).  The
+        Disk promotions are validated into a columns template over the
+        store's flat arrays (per-node views are only split off lazily,
+        see :class:`_CacheEntry`); an entry that decodes but fails that
+        validation is dropped as corrupt and regenerated.  The
         generated arrays are frozen before anything else sees them:
         every execution rebuilt from this entry shares them zero-copy,
         so a mutating consumer must fail loudly.
@@ -187,8 +193,13 @@ class TraceCache:
         if store is not None:
             flat = store.load_flat(key)
             if flat is not None:
-                self.disk_hits += 1
-                return _CacheEntry(flat=flat)
+                try:
+                    template = NodeColumns.from_flat(*flat)
+                except ValueError:
+                    store.drop_corrupt(key)
+                else:
+                    self.disk_hits += 1
+                    return _CacheEntry(template=template)
         rng = np.random.default_rng([seed, *stream, 0xACE])
         nodes = get_trace_spec(trace).materialize(rng, horizon, cap)
         raw = [(n.starts, n.ends, n.power, n.tag) for n in nodes]
@@ -234,11 +245,11 @@ class AssemblyCache:
 
     Keyed like a trace realization — ``(trace, seed-stream, cap,
     horizon)`` — a skeleton is the realization's immutable columns
-    template plus its captured t=0 pool filing (``None`` for a
-    degenerate trace, whose filing is not capturable).  Both are
+    template plus its t=0 pool filing (:meth:`~repro.infra.pool.
+    NodePool.file`, a pure function of the template).  Both are
     execution-independent, so repeated executions over one environment
-    (the strategy grid, sweep shards, warm bench rounds) restore the
-    pool onto a fresh cursor copy instead of re-deriving it.
+    (the strategy grid, sweep shards, warm bench rounds) apply the
+    filing to a fresh cursor copy instead of re-deriving it.
     Skeletons pin their template beyond the trace LRU; the map is
     bounded by the number of distinct realizations a process touches.
     """
@@ -250,7 +261,7 @@ class AssemblyCache:
 
     def skeleton(self, trace: str, seed: int, cap: int, horizon: float,
                  stream: Sequence[int] = ()
-                 ) -> Tuple[NodeColumns, Optional[dict]]:
+                 ) -> Tuple[NodeColumns, Filing]:
         """``(template, filing)`` for one realization."""
         key = (trace, (seed, *stream), cap, horizon)
         skel = self._skeletons.get(key)
@@ -260,9 +271,7 @@ class AssemblyCache:
         self.misses += 1
         template = TRACE_CACHE.columns_template(trace, seed, cap,
                                                 horizon, stream)
-        probe = NodePool(template.fresh())
-        filing = probe.capture_filing() if probe.vector_filed else None
-        skel = self._skeletons[key] = (template, filing)
+        skel = self._skeletons[key] = (template, NodePool.file(template))
         return skel
 
     def clear(self) -> None:
@@ -354,18 +363,16 @@ class ScenarioHarness:
         """Assemble one DCI from its declarative description.
 
         The pool comes from the :data:`ASSEMBLY_CACHE` skeleton of the
-        realization: restored from the captured filing onto a fresh
-        cursor copy of the template — structurally identical to a
-        freshly filed pool (same draw-list order, same RNG streams),
-        just without re-deriving it.
+        realization: its cached filing applied to a fresh cursor copy
+        of the template — identical to ``NodePool(template.fresh())``
+        (same draw-list order, same RNG streams), just without
+        re-deriving the filing.
         """
         template, filing = ASSEMBLY_CACHE.skeleton(
             trace, seed, cap, self.sim.horizon, stream)
-        rng = np.random.default_rng([seed, *stream, 0xB00])
-        if filing is not None:
-            pool = NodePool.from_filing(template.fresh(), filing, rng=rng)
-        else:  # degenerate trace: the filing isn't capturable
-            pool = NodePool(template.fresh(), rng=rng)
+        pool = NodePool.from_filing(
+            template.fresh(), filing,
+            rng=np.random.default_rng([seed, *stream, 0xB00]))
         server = resolve_server(middleware)(
             self.sim, pool, config=middleware_config, name=name)
         driver = get_driver(provider, self.sim,

@@ -179,16 +179,22 @@ class TraceStore:
             flat = self._read_flat(path)
         except (OSError, ValueError, KeyError, EOFError,
                 zipfile.BadZipFile):
-            # torn write or bit rot: drop the entry so the caller
-            # regenerates (and re-archives) the realization
-            self.corrupt += 1
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+            self.drop_corrupt(key)
             return None
         self.loads += 1
         return flat
+
+    def drop_corrupt(self, key: TraceKey) -> None:
+        """Count one entry ``corrupt`` and delete it, so the caller
+        regenerates (and re-archives) the realization.  Covers torn or
+        undecodable files here, and entries that decode but fail the
+        columns validation upstream (the mmap path skips the zip CRC).
+        """
+        self.corrupt += 1
+        try:
+            os.unlink(self.path_for(key))
+        except OSError:
+            pass
 
     def _read_flat(self, path: str) -> Tuple:
         try:

@@ -21,6 +21,10 @@ archive in SQLite next to the campaign result store
   prune` enforces per-environment record caps (keep the newest N) and
   age-out (drop records older than D days); surfaced as ``repro
   history gc --max-per-env N --max-age-days D``.
+* **corruption is a miss** — a row whose grid does not decode (torn
+  write, bit rot) is counted in ``corrupt`` and deleted by
+  :meth:`fetch` (which returns only the whole records that remain) or
+  by :meth:`gc`, never returned half-decoded.
 
 Imports of the campaign store happen at call time: the campaign
 package sits *above* the core/history layers in the import graph, so
@@ -34,6 +38,8 @@ import os
 import sqlite3
 import time
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.history.records import (
     ExecutionRecord,
@@ -59,6 +65,23 @@ def default_history_path() -> str:
 def _current_salt() -> str:
     from repro.campaign.store import _code_salt
     return _code_salt()
+
+
+def _decode_grid(grid_json: str) -> np.ndarray:
+    """A stored tc grid, or ValueError/TypeError if it does not decode
+    to a flat float array."""
+    grid = decode_grid(grid_json)
+    if grid.ndim != 1 or grid.dtype.kind != "f":
+        raise ValueError("grid is not a flat float array")
+    return grid
+
+
+def _decodes(grid_json: str) -> bool:
+    try:
+        _decode_grid(grid_json)
+    except (ValueError, TypeError):
+        return False
+    return True
 
 
 def _record_digest(rec: ExecutionRecord, salt: str) -> str:
@@ -98,6 +121,8 @@ class PersistentHistoryStore:
         self._conn.executescript(self._SCHEMA)
         migrate_provider_column(self._conn)
         self._conn.commit()
+        #: undecodable rows dropped by :meth:`fetch` or :meth:`gc`
+        self.corrupt = 0
 
     # -------------------------------------------------- HistoryStore API
     def add(self, rec: ExecutionRecord) -> None:
@@ -112,14 +137,32 @@ class PersistentHistoryStore:
         self._conn.commit()
 
     def fetch(self, env_key: str) -> List[ExecutionRecord]:
+        """The environment's current records; undecodable rows are
+        dropped as ``corrupt`` and left out."""
         rows = self._conn.execute(
-            "SELECT env_key, n_tasks, makespan, grid, credits_spent, "
+            "SELECT id, env_key, n_tasks, makespan, grid, credits_spent, "
             "provider FROM executions WHERE env_key = ? AND salt = ? "
             "ORDER BY id",
             (env_key, self._salt)).fetchall()
-        return [ExecutionRecord(env, n, mk, decode_grid(grid_json),
-                                spent, provider)
-                for env, n, mk, grid_json, spent, provider in rows]
+        records, torn = [], []
+        for rid, env, n, mk, grid_json, spent, provider in rows:
+            try:
+                grid = _decode_grid(grid_json)
+            except (ValueError, TypeError):
+                torn.append(rid)
+                continue
+            records.append(ExecutionRecord(env, n, mk, grid, spent,
+                                           provider))
+        self._drop_corrupt(torn)
+        return records
+
+    def _drop_corrupt(self, ids: List[int]) -> None:
+        if not ids:
+            return
+        self.corrupt += len(ids)
+        self._conn.executemany("DELETE FROM executions WHERE id = ?",
+                               [(rid,) for rid in ids])
+        self._conn.commit()
 
     def fetch_rates(self, env_key: str) -> List[Tuple[int, float]]:
         """(n_tasks, makespan) pairs without decoding the grids — the
@@ -144,15 +187,23 @@ class PersistentHistoryStore:
 
     # ------------------------------------------------------- maintenance
     def gc(self, vacuum: bool = True) -> Tuple[int, int]:
-        """Drop records whose salt no longer matches the current code.
+        """Drop stale-salt records and current ones that do not decode.
 
         Stale records are unreachable anyway (every fetch filters on
-        the current salt); GC reclaims their space.  Returns
-        ``(rows, grid_bytes)`` reclaimed.
+        the current salt); GC reclaims their space.  Current-salt rows
+        whose grid does not decode are dropped too and counted in
+        ``corrupt``.  Returns ``(rows, grid_bytes)`` reclaimed, both
+        kinds together.
         """
         (rows, nbytes) = self._conn.execute(
             "SELECT COUNT(*), COALESCE(SUM(LENGTH(grid)), 0) "
             "FROM executions WHERE salt != ?", (self._salt,)).fetchone()
+        corrupt = [(rid, len(grid)) for rid, grid in self._conn.execute(
+            "SELECT id, grid FROM executions WHERE salt = ?",
+            (self._salt,)).fetchall() if not _decodes(grid)]
+        self._drop_corrupt([rid for rid, _n in corrupt])
+        rows += len(corrupt)
+        nbytes += sum(n for _rid, n in corrupt)
         if rows:
             self._conn.execute("DELETE FROM executions WHERE salt != ?",
                                (self._salt,))

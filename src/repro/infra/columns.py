@@ -14,17 +14,20 @@ pass per host — rebuilt for *every* execution sharing the realization.
   indices), the only mutable column.
 
 The interval arrays, offsets and powers are immutable and shared
-zero-copy across executions (they are validated once, in
-:meth:`NodeColumns.from_raw`); :meth:`NodeColumns.fresh` hands each
+zero-copy across executions (they are validated once, by
+:meth:`NodeColumns.from_flat`, which ``from_raw`` and ``from_nodes``
+feed); :meth:`NodeColumns.fresh` hands each
 execution its own cursor array — the per-execution cost of "rebuild
 all nodes" collapses to one ``offsets[:-1].copy()``.
 
-:class:`ColumnNode` is a flyweight view over one column index exposing
-the :class:`~repro.infra.node.Node` API (``node_id``, ``power``,
-``interval_at``, ``next_available``...), so the middleware cannot tell
-the two apart.  The :class:`~repro.infra.pool.NodePool` goes further
-and keeps plain ``int`` indices in its draw lists, materializing a
-view only for the node it actually hands out.
+The :class:`~repro.infra.pool.NodePool` keeps plain ``int`` ids and
+reads intervals straight off the columns; :class:`ColumnNode` is the
+flyweight it hands to the middleware for an acquired id, exposing the
+part of the :class:`~repro.infra.node.Node` API the middleware reads
+(``node_id``, ``power``, ``tag``, ``cloud``, ``interval_at``,
+``next_available``), so the middleware cannot tell the two apart.
+:meth:`NodeColumns.first_interval` reads every node's first interval
+after a time without touching a cursor — the pool's t=0 filing.
 
 Cursor semantics match ``Node._advance`` exactly: monotone ``t``
 queries move the cursor to the first interval whose end exceeds ``t``.
@@ -34,11 +37,13 @@ False (cloud workers stay :class:`~repro.infra.node.Node` objects).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["NodeColumns", "ColumnNode"]
+
+_EMPTY = np.empty(0, dtype=np.float64)
 
 
 class NodeColumns:
@@ -65,79 +70,76 @@ class NodeColumns:
         """Build the immutable template from per-node raw arrays.
 
         ``raw`` is the trace cache's entry format:
-        ``[(starts, ends, power, tag), ...]`` in node-id order.  The
-        intervals are validated once here (positive-length, sorted,
-        non-overlapping per node) instead of once per node per
-        execution.
+        ``[(starts, ends, power, tag), ...]`` in node-id order, flattened
+        here and validated once by :meth:`from_flat` instead of once per
+        node per execution.
         """
-        n = len(raw)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        power = np.empty(n, dtype=np.float64)
-        if n:
-            np.cumsum([s.shape[0] for s, _e, _p, _t in raw],
-                      out=offsets[1:])
-            counts_e = np.fromiter((e.shape[0] for _s, e, _p, _t in raw),
-                                   dtype=np.int64, count=n)
-            if not np.array_equal(np.diff(offsets), counts_e):
-                raise ValueError("starts and ends must have identical "
-                                 "shapes")
-            power[:] = np.fromiter((p for _s, _e, p, _t in raw),
-                                   dtype=np.float64, count=n)
-            if not np.all(power > 0):
-                bad = float(power[np.argmax(~(power > 0))])
-                raise ValueError(f"node power must be positive, got {bad}")
-        total = int(offsets[-1])
-        if total:
-            starts = np.concatenate([s for s, _e, _p, _t in raw])
-            ends = np.concatenate([e for _s, e, _p, _t in raw])
-            starts = np.ascontiguousarray(starts, dtype=np.float64)
-            ends = np.ascontiguousarray(ends, dtype=np.float64)
-        else:
-            starts = np.empty(0, dtype=np.float64)
-            ends = np.empty(0, dtype=np.float64)
-        tags = tuple(tag for _s, _e, _p, tag in raw)
-        return cls._seal(starts, ends, offsets, power, tags)
+        if any(s.shape != e.shape for s, e, _p, _t in raw):
+            raise ValueError("starts and ends must have identical shapes")
+        offsets = np.zeros(len(raw) + 1, dtype=np.int64)
+        np.cumsum([s.shape[0] for s, _e, _p, _t in raw], dtype=np.int64,
+                  out=offsets[1:])
+        return cls.from_flat(
+            np.concatenate([_EMPTY, *(s for s, _e, _p, _t in raw)]),
+            np.concatenate([_EMPTY, *(e for _s, e, _p, _t in raw)]),
+            offsets, [p for _s, _e, p, _t in raw],
+            [tag for _s, _e, _p, tag in raw])
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence) -> "NodeColumns":
+        """Build the template from trace :class:`~repro.infra.node.Node`
+        objects; the column index is the node id, so they must be
+        numbered ``0..n-1`` in order (cloud workers are rejected too)."""
+        for i, node in enumerate(nodes):
+            if node.node_id != i or node.cloud:
+                raise ValueError(f"expected trace node {i}, got {node!r}")
+        return cls.from_raw([(n.starts, n.ends, n.power, n.tag)
+                             for n in nodes])
 
     @classmethod
     def from_flat(cls, starts: np.ndarray, ends: np.ndarray,
                   offsets: np.ndarray, power: np.ndarray,
                   tags: Sequence[str]) -> "NodeColumns":
-        """Build the template from already-flat arrays, zero-copy.
+        """Build the template from already-flat arrays, zero-copy, and
+        freeze them.
 
         This is the trace store's on-disk layout (``starts``/``ends``/
         ``bounds``/``powers``/``tags``), so a store hit skips both the
         per-node view split and the re-concatenation: the mmap-backed
-        arrays become the columns directly.  Validation is the same
-        vectorized pass as :meth:`from_raw`.
+        arrays become the columns directly.  One vectorized pass
+        validates the layout (offsets run from 0 to ``len(starts)``
+        without decreasing, one positive power and one tag per node)
+        and the intervals (positive-length, sorted and non-overlapping
+        per node).
         """
         starts = np.ascontiguousarray(starts, dtype=np.float64)
         ends = np.ascontiguousarray(ends, dtype=np.float64)
         offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         power = np.ascontiguousarray(power, dtype=np.float64)
-        if starts.shape != ends.shape:
+        tags = tuple(tags)
+        if starts.ndim != 1 or starts.shape != ends.shape:
             raise ValueError("starts and ends must have identical shapes")
-        if len(power) and not np.all(power > 0):
+        n = len(offsets) - 1
+        total = len(starts)
+        if (n < 0 or offsets[0] != 0 or offsets[-1] != total
+                or np.any(np.diff(offsets) < 0)):
+            raise ValueError("offsets must run from 0 to len(starts) "
+                             "without decreasing")
+        if power.shape != (n,) or len(tags) != n:
+            raise ValueError("power and tags must hold one entry per node")
+        if not np.all(power > 0):
             bad = float(power[np.argmax(~(power > 0))])
             raise ValueError(f"node power must be positive, got {bad}")
-        return cls._seal(starts, ends, offsets, power, tuple(tags))
-
-    @classmethod
-    def _seal(cls, starts: np.ndarray, ends: np.ndarray,
-              offsets: np.ndarray, power: np.ndarray,
-              tags: Tuple[str, ...]) -> "NodeColumns":
-        """Shared interval validation + freeze for both constructors."""
-        total = int(offsets[-1])
-        if total:
-            if not np.all(ends > starts):
-                raise ValueError("intervals must be positive-length")
-            # sortedness within each node: every adjacent pair must
-            # satisfy starts[k+1] >= ends[k] except across node borders
-            gap_ok = starts[1:] >= ends[:-1]
-            borders = offsets[1:-1] - 1  # last interval index per node
-            gap_ok[borders[(borders >= 0) & (borders < total - 1)]] = True
-            if not np.all(gap_ok):
-                raise ValueError("intervals must be sorted and "
-                                 "non-overlapping")
+        if not np.all(ends > starts):
+            raise ValueError("intervals must be positive-length")
+        # sortedness within each node: every adjacent pair must
+        # satisfy starts[k+1] >= ends[k] except across node borders
+        gap_ok = starts[1:] >= ends[:-1]
+        borders = offsets[1:-1] - 1  # last interval index per node
+        gap_ok[borders[(borders >= 0) & (borders < total - 1)]] = True
+        if not np.all(gap_ok):
+            raise ValueError("intervals must be sorted and "
+                             "non-overlapping")
         for arr in (starts, ends, offsets, power):
             arr.setflags(write=False)
         return cls(starts, ends, offsets, power, tags,
@@ -180,18 +182,19 @@ class NodeColumns:
         return (float(self.starts[cur]), float(self.ends[cur]))
 
     # ------------------------------------------------------------------
-    def first_interval(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, start, end) of every node's first interval.
-
-        Nodes without intervals are excluded — used by the pool's
-        vectorized initial filing.
-        """
-        first = self.offsets[:-1]
-        ids = np.flatnonzero(first < self.offsets[1:])
+    def first_interval(self, after: float
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, start, end) of every node's first interval ending
+        after ``after`` — :meth:`next_available` from a fresh cursor —
+        without moving any cursor; nodes with none are excluded.  Ends
+        increase within a node, so one cumulative count of the ends
+        ``<= after`` gives each node's number of intervals to skip."""
+        lo, hi = self.offsets[:-1], self.offsets[1:]
+        done = np.zeros(len(self.ends) + 1, dtype=np.int64)
+        np.cumsum(self.ends <= after, out=done[1:])
+        first = lo + (done[hi] - done[lo])
+        ids = np.flatnonzero(first < hi)
         return ids, self.starts[first[ids]], self.ends[first[ids]]
-
-    def view(self, i: int) -> "ColumnNode":
-        return ColumnNode(self, i)
 
     def __len__(self) -> int:
         return self.n
@@ -207,8 +210,8 @@ class ColumnNode:
     Created lazily by the pool for the node it hands to the middleware;
     cheap scalar state (``power``, ``tag``) is bound at construction,
     interval scans delegate to the shared columns (so the cursor is the
-    column cursor — one view per (columns, id) pair must be reused,
-    which the pool's view cache guarantees).
+    column cursor — the pool keeps one view per id for stable
+    identity).
     """
 
     __slots__ = ("_cols", "node_id", "power", "tag")
@@ -223,33 +226,11 @@ class ColumnNode:
         self.tag = cols.tags[i]
 
     # -- Node API ------------------------------------------------------
-    @property
-    def starts(self) -> np.ndarray:
-        o = self._cols.offsets
-        return self._cols.starts[o[self.node_id]:o[self.node_id + 1]]
-
-    @property
-    def ends(self) -> np.ndarray:
-        o = self._cols.offsets
-        return self._cols.ends[o[self.node_id]:o[self.node_id + 1]]
-
     def interval_at(self, t: float) -> Optional[Tuple[float, float]]:
         return self._cols.interval_at(self.node_id, t)
-
-    def available_at(self, t: float) -> bool:
-        return self._cols.interval_at(self.node_id, t) is not None
 
     def next_available(self, t: float) -> Optional[Tuple[float, float]]:
         return self._cols.next_available(self.node_id, t)
 
-    def availability_fraction(self, until: float) -> float:
-        if until <= 0:
-            return 0.0
-        starts, ends = self.starts, self.ends
-        clipped = np.clip(ends, None, until) - np.clip(starts, None, until)
-        total = float(np.sum(np.maximum(clipped, 0.0)))
-        return total / until
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ColumnNode {self.node_id} power={self.power:.0f} "
-                f"intervals={self.starts.shape[0]}>")
+        return f"<ColumnNode {self.node_id} power={self.power:.0f}>"

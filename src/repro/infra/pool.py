@@ -18,16 +18,15 @@ middleware (which schedules its completion / preemption / resume
 events) and re-enters the pool through :meth:`release` /
 :meth:`preempted`.
 
-Columnar members: a pool built over a :class:`~repro.infra.columns.
-NodeColumns` realization keeps plain ``int`` node ids in the draw
-lists and heaps — no Python node objects exist for the 10^5-host bulk
-of the pool.  Interval validation reads the shared columns directly; a
-:class:`~repro.infra.columns.ColumnNode` flyweight is materialized
-(and cached, for stable identity) only for the node :meth:`acquire`
-actually hands out.  Dynamically added nodes (cloud workers via the
-Flat strategy) stay :class:`~repro.infra.node.Node` objects; both
-entry kinds coexist in every structure.  The initial filing of a
-columnar realization is vectorized but replays the historical
+Members are plain ``int`` node ids in every structure, so no Python
+object exists for the 10^5-host bulk of a columnar pool.  ``_nodes``
+maps an id to the object handed to the middleware: every node passed
+to :meth:`add` (cloud workers, which join the idle pool like any
+volunteer, paper §3.1) and one :class:`~repro.infra.columns.ColumnNode`
+flyweight per columnar id, created on its first acquisition.  Interval
+lookups read ``_nodes`` and otherwise go straight to the columns.  The
+t=0 filing of a columnar realization is one pure vectorized function
+of the template, :meth:`NodePool.file`; it replays the historical
 node-id-order ``add()`` loop exactly, so draw-list positions — and
 therefore the RNG draw sequence — are unchanged.
 
@@ -53,8 +52,8 @@ pop sequence depends only on the key multiset (duplicate keys here are
 fully identical tuples, hence interchangeable).
 
 Ready bookkeeping: alongside the draw lists the pool keeps
-``_ready_end_of`` (node id → ``(interval_end, entry)`` for every node
-filed ready).  The probes — :meth:`has_ready`, :meth:`idle_count`,
+``_ready_end_of`` (node id → interval end for every node filed
+ready).  The probes — :meth:`has_ready`, :meth:`idle_count`,
 :meth:`next_future_start` — pop the stale store once per *expired*
 entry (amortized O(log n)), refile those nodes to their next interval,
 and read the answer off the index.  :meth:`acquire` deliberately does
@@ -97,20 +96,34 @@ paper's *Flat* strategy its modest-but-nonzero tail pickup (§4.2.1).
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, \
+    Tuple, Union
 
 import numpy as np
 
 from repro.infra.columns import ColumnNode, NodeColumns
 from repro.infra.node import Node
 
-__all__ = ["NodePool"]
-
-#: a pool entry: a columnar node id, or a dynamically added Node
-_Entry = Union[int, Node]
+__all__ = ["NodePool", "Filing"]
 
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
+
+
+class Filing(NamedTuple):
+    """The t=0 filing of one columns template (:meth:`NodePool.file`),
+    shared by every pool applied from it: pools copy ``members`` and
+    ``ready_end_of`` and only move their own cursors over the epochs."""
+
+    members: frozenset
+    #: ready id -> interval end, in ascending id (= draw-list) order
+    ready_end_of: Mapping[int, float]
+    stale_end: np.ndarray
+    stale_id: np.ndarray
+    fut_start: np.ndarray
+    fut_id: np.ndarray
+    fut_end: np.ndarray
 
 
 class NodePool:
@@ -124,18 +137,18 @@ class NodePool:
             raise ValueError("cloud_poll_weight must be positive")
         self._rng = rng or np.random.default_rng(0)
         self.cloud_poll_weight = float(cloud_poll_weight)
-        self._ready_reg: List[_Entry] = []
-        self._ready_cloud: List[_Entry] = []
-        #: node id -> (interval_end, entry) for every node filed ready
-        self._ready_end_of: Dict[int, Tuple[float, _Entry]] = {}
+        self._ready_reg: List[int] = []
+        self._ready_cloud: List[int] = []
+        #: node id -> interval_end for every node filed ready
+        self._ready_end_of: Dict[int, float] = {}
         # -- future store: epoch arrays (t=0 filing, sorted by
         # (start, id)) behind a cursor, + overflow heap of
-        # (next_start, id, entry, interval_end) for later refiles
+        # (next_start, id, interval_end) for later refiles
         self._fut_start = _EMPTY_F
         self._fut_id = _EMPTY_I
         self._fut_end = _EMPTY_F
         self._fut_pos = 0
-        self._future: List[Tuple[float, int, _Entry, float]] = []
+        self._future: List[Tuple[float, int, float]] = []
         # -- stale store: epoch arrays (sorted by (end, id)) behind a
         # cursor, + overflow heap of (interval_end, id)
         self._stale_end = _EMPTY_F
@@ -146,153 +159,92 @@ class NodePool:
         self.size = 0
         #: backing columnar realization (None for object-only pools)
         self._columns: Optional[NodeColumns] = None
-        #: id -> ColumnNode flyweight, created only for acquired nodes
-        self._views: Dict[int, ColumnNode] = {}
-        #: True when the t=0 filing took the pure vectorized path —
-        #: cursor-independent, so the filing may be captured and
-        #: restored onto a fresh cursor copy (see capture_filing)
-        self.vector_filed = False
+        #: id -> object handed out: every added node, plus one
+        #: ColumnNode flyweight per columnar id from its first acquire
+        self._nodes: Dict[int, object] = {}
         if isinstance(nodes, NodeColumns):
-            self._init_columns(nodes)
+            self._apply(nodes, self.file(nodes))
         else:
             for n in nodes:
                 self.add(n, at=0.0)
 
     # ------------------------------------------------------------------
-    # entry plumbing (int = columnar member, Node = object member)
-    # ------------------------------------------------------------------
     @staticmethod
-    def _id_of(entry: _Entry) -> int:
-        return entry if type(entry) is int else entry.node_id
-
-    def _as_entry(self, node) -> _Entry:
-        """Normalize a node handed back by the middleware to its entry."""
-        if isinstance(node, ColumnNode) and node._cols is self._columns:
-            return node.node_id
-        return node
-
-    def _next_available(self, entry: _Entry, at: float):
-        if type(entry) is int:
-            return self._columns.next_available(entry, at)
-        return entry.next_available(at)
-
-    # ------------------------------------------------------------------
-    def _init_columns(self, cols: NodeColumns) -> None:
-        """Vectorized initial filing of a columnar realization at t=0.
-
-        Exactly replays ``add(node, at=0.0)`` over node ids in order:
-        nodes without a future interval are dropped, first intervals
-        containing 0 file ready (ascending id — the draw-list order the
-        RNG sequence depends on), later ones become the future *epoch*:
-        flat arrays sorted by ``(start, id)``, the same total order the
-        historical heap popped in.  Ready interval ends become the
-        stale epoch, sorted by ``(end, id)`` likewise.
-        """
-        self._columns = cols
-        ids, s0, e0 = cols.first_interval()
-        if len(ids) and float(e0.min()) <= 0.0:
-            # A first interval that ended at/before t=0 needs a cursor
-            # advance; generated traces never do this — take the exact
-            # scalar path rather than approximating it.
-            for i in ids.tolist():
-                self._members.add(i)
-                self.size += 1
-                self._enqueue(i, 0.0)
-            return
-        self._members = set(ids.tolist())
-        self.size = len(self._members)
+    def file(cols: NodeColumns) -> Filing:
+        """The vectorized t=0 filing of a columnar realization, exactly
+        ``add(node, at=0.0)`` over ids in order: each node's first
+        interval ending after 0 (nodes without one are dropped) files
+        ready in ascending id if it contains 0, its end joining the
+        stale epoch sorted by ``(end, id)``, else into the future epoch
+        sorted by ``(start, id)``.  Reads no cursor, so the result
+        depends on the template only."""
+        ids, s0, e0 = cols.first_interval(0.0)
         ready = s0 <= 0.0
         ids_r, e_r = ids[ready], e0[ready]
-        index = self._ready_end_of
-        reg = self._ready_reg
-        for i, end in zip(ids_r.tolist(), e_r.tolist()):
-            index[i] = (end, i)
-            reg.append(i)
-        order = np.lexsort((ids_r, e_r))
-        self._stale_end = np.ascontiguousarray(e_r[order])
-        self._stale_id = np.ascontiguousarray(ids_r[order])
+        stale = np.lexsort((ids_r, e_r))
         away = ~ready
         ids_a, s_a, e_a = ids[away], s0[away], e0[away]
-        order = np.lexsort((ids_a, s_a))
-        self._fut_start = np.ascontiguousarray(s_a[order])
-        self._fut_id = np.ascontiguousarray(ids_a[order])
-        self._fut_end = np.ascontiguousarray(e_a[order])
-        for arr in (self._stale_end, self._stale_id, self._fut_start,
-                    self._fut_id, self._fut_end):
+        fut = np.lexsort((ids_a, s_a))
+        epochs = (e_r[stale], ids_r[stale], s_a[fut], ids_a[fut], e_a[fut])
+        for arr in epochs:
             arr.setflags(write=False)
-        self.vector_filed = True
-
-    # ------------------------------------------------------------------
-    def capture_filing(self) -> Dict[str, object]:
-        """Snapshot the t=0 filing of a freshly built columnar pool.
-
-        Only valid straight after a *vectorized* ``_init_columns`` (the
-        degenerate scalar path advances interval cursors, which live in
-        the columns, not here).  The epoch arrays are immutable — only
-        their cursors move — so the snapshot shares them zero-copy;
-        the draw list and ready index are copied per restore.
-        Restoring via :meth:`from_filing` onto a fresh cursor copy of
-        the same template reproduces the filing — same draw-list order,
-        same epochs — without re-deriving it.
-        """
-        if not self.vector_filed:
-            raise ValueError("filing not capturable: pool was not "
-                             "vector-filed (object pool, degenerate "
-                             "trace, or already mutated)")
-        return {"members": set(self._members), "size": self.size,
-                "ready_reg": list(self._ready_reg),
-                "ready_end_of": dict(self._ready_end_of),
-                "stale_end": self._stale_end, "stale_id": self._stale_id,
-                "fut_start": self._fut_start, "fut_id": self._fut_id,
-                "fut_end": self._fut_end}
+        return Filing(frozenset(ids.tolist()),
+                      MappingProxyType(dict(zip(ids_r.tolist(),
+                                                e_r.tolist()))),
+                      *epochs)
 
     @classmethod
-    def from_filing(cls, cols: NodeColumns, filing: Dict[str, object],
+    def from_filing(cls, cols: NodeColumns, filing: Filing,
                     rng: Optional[np.random.Generator] = None,
                     cloud_poll_weight: float = 10.0) -> "NodePool":
-        """Rebuild a pool from a :meth:`capture_filing` snapshot over a
-        fresh cursor copy of the *same* columns template — structurally
-        identical to ``NodePool(cols, ...)``, skipping the filing."""
+        """A pool over ``cols`` — a fresh cursor copy of the template
+        ``filing`` was computed from — identical to ``NodePool(cols,
+        ...)`` without re-deriving the filing."""
         pool = cls(rng=rng, cloud_poll_weight=cloud_poll_weight)
-        pool._columns = cols
-        pool._members = set(filing["members"])
-        pool.size = filing["size"]
-        pool._ready_reg = list(filing["ready_reg"])
-        pool._ready_end_of = dict(filing["ready_end_of"])
-        pool._stale_end = filing["stale_end"]
-        pool._stale_id = filing["stale_id"]
-        pool._fut_start = filing["fut_start"]
-        pool._fut_id = filing["fut_id"]
-        pool._fut_end = filing["fut_end"]
-        pool.vector_filed = True
+        pool._apply(cols, filing)
         return pool
+
+    def _apply(self, cols: NodeColumns, filing: Filing) -> None:
+        self._columns = cols
+        self._members = set(filing.members)
+        self.size = len(self._members)
+        self._ready_end_of = filing.ready_end_of.copy()
+        self._ready_reg = list(filing.ready_end_of)
+        self._stale_end = filing.stale_end
+        self._stale_id = filing.stale_id
+        self._fut_start = filing.fut_start
+        self._fut_id = filing.fut_id
+        self._fut_end = filing.fut_end
 
     # ------------------------------------------------------------------
     def add(self, node: Node, at: float) -> None:
         """Register a node; it becomes acquirable from time ``at``."""
-        entry = self._as_entry(node)
-        nid = self._id_of(entry)
+        nid = node.node_id
         if nid in self._members:
             raise ValueError(f"node {nid} already in pool")
         self._members.add(nid)
+        self._nodes[nid] = node
         self.size += 1
-        self._enqueue(entry, at)
+        self._enqueue(nid, at)
 
     def remove(self, node: Node) -> None:
         """Unregister a node (stale queue entries are skipped lazily)."""
-        if node.node_id not in self._members:
+        nid = node.node_id
+        if nid not in self._members:
             return
-        self._members.discard(node.node_id)
-        self._ready_end_of.pop(node.node_id, None)
+        self._members.discard(nid)
+        self._ready_end_of.pop(nid, None)
+        self._nodes.pop(nid, None)
         self.size -= 1
 
     def __contains__(self, node: Node) -> bool:
         return node.node_id in self._members
 
-    def _enqueue(self, entry: _Entry, at: float) -> None:
-        """File an idle member entry under ready or future."""
-        nxt = self._next_available(entry, at)
-        nid = self._id_of(entry)
+    def _enqueue(self, nid: int, at: float) -> None:
+        """File an idle member under ready or future."""
+        node = self._nodes.get(nid)
+        nxt = (self._columns.next_available(nid, at) if node is None
+               else node.next_available(at))
         if nxt is None:
             # Never comes back within the trace horizon: drop silently.
             self._members.discard(nid)
@@ -300,16 +252,16 @@ class NodePool:
             return
         start, end = nxt
         if start <= at:
-            self._file_ready(entry, end)
+            self._file_ready(nid, end)
         else:
-            heapq.heappush(self._future, (start, nid, entry, end))
+            heapq.heappush(self._future, (start, nid, end))
 
-    def _file_ready(self, entry: _Entry, end: float) -> None:
-        nid = self._id_of(entry)
-        self._ready_end_of[nid] = (end, entry)
+    def _file_ready(self, nid: int, end: float) -> None:
+        self._ready_end_of[nid] = end
         heapq.heappush(self._stale, (end, nid))
-        cloud = type(entry) is not int and entry.cloud
-        (self._ready_cloud if cloud else self._ready_reg).append(entry)
+        node = self._nodes.get(nid)
+        cloud = node is not None and node.cloud
+        (self._ready_cloud if cloud else self._ready_reg).append(nid)
 
     # ------------------------------------------------------------------
     # promotion (future -> ready)
@@ -350,16 +302,16 @@ class NodePool:
                 nid = ids[i]
                 if nid in members:
                     end = ends[i]
-                    index[nid] = (end, nid)
+                    index[nid] = end
                     reg.append(nid)
                     pairs.append((end, nid))
                 i += 1
             if head is None:
                 break
             heapq.heappop(heap)
-            _, nid, entry, end = head
+            _, nid, end = head
             if nid in members:
-                self._file_ready(entry, end)
+                self._file_ready(nid, end)
         stale = self._stale
         if len(pairs) > 8 and 4 * len(pairs) > len(stale):
             stale.extend(pairs)
@@ -409,11 +361,10 @@ class NodePool:
                     i += 1
                 else:
                     break
-                entry = index.get(nid)
-                if entry is None or entry[0] != end:
+                if index.get(nid) != end:
                     continue
                 del index[nid]
-                self._enqueue(entry[1], t)
+                self._enqueue(nid, t)
         ghosts = (len(self._ready_reg) + len(self._ready_cloud)
                   - len(index))
         if ghosts > 8 and ghosts > len(index):
@@ -433,11 +384,10 @@ class NodePool:
                 continue
             seen: set[int] = set()
             out = []
-            for entry in lst:
-                nid = entry if type(entry) is int else entry.node_id
+            for nid in lst:
                 if nid in index and nid not in seen:
                     seen.add(nid)
-                    out.append(entry)
+                    out.append(nid)
             setattr(self, attr, out)
 
     # ------------------------------------------------------------------
@@ -460,7 +410,7 @@ class NodePool:
         cloud = self._ready_cloud
         weight = self.cloud_poll_weight
         cols = self._columns
-        views = self._views
+        nodes = self._nodes
         while reg or cloud:
             w_cloud = weight * len(cloud)
             w_total = w_cloud + len(reg)
@@ -470,40 +420,30 @@ class NodePool:
             while ready:
                 i = int(rng.integers(len(ready)))
                 ready[i], ready[-1] = ready[-1], ready[i]
-                entry = ready.pop()
-                nid = entry if type(entry) is int else entry.node_id
-                rec = index.get(nid)
-                if rec is None:
+                nid = ready.pop()
+                end = index.get(nid)
+                if end is None:
                     continue  # retired, or a ghost left by a sweep
-                end = rec[0]
-                if end > t:
-                    # Filed end still ahead: the node was filed inside
-                    # an interval no later than ``t`` (time only moves
-                    # forward after filing), so ``t`` sits inside that
-                    # same interval and its end IS the filed end — the
-                    # ``interval_at`` lookup is provably this value.
-                    del index[nid]
-                    if type(entry) is int:
-                        view = views.get(entry)
-                        if view is None:
-                            view = views[entry] = ColumnNode(cols, entry)
-                        return view, end
-                    return entry, end
-                # Filed interval lapsed; only a full lookup can tell a
-                # node inside a *later* interval (hand it out with that
-                # end) from one in a gap (stale: refile).
-                iv = (cols.interval_at(entry, t) if type(entry) is int
-                      else entry.interval_at(t))
+                node = nodes.get(nid)
+                if end <= t:
+                    # Filed interval lapsed; only a full lookup can
+                    # tell a node inside a *later* interval (hand it
+                    # out with that end) from one in a gap (refile).
+                    # A filed end still ahead needs no lookup: the
+                    # node was filed inside an interval no later than
+                    # ``t`` (time only moves forward after filing), so
+                    # ``t`` sits inside that same interval.
+                    iv = (cols.interval_at(nid, t) if node is None
+                          else node.interval_at(t))
+                    if iv is None:
+                        del index[nid]
+                        self._enqueue(nid, t)
+                        continue
+                    end = iv[1]
                 del index[nid]
-                if iv is None:
-                    self._enqueue(entry, t)
-                    continue
-                if type(entry) is int:
-                    view = views.get(entry)
-                    if view is None:
-                        view = views[entry] = ColumnNode(cols, entry)
-                    return view, iv[1]
-                return entry, iv[1]
+                if node is None:
+                    node = nodes[nid] = ColumnNode(cols, nid)
+                return node, end
             # Chosen side was entirely stale; loop re-weights what's left.
         return None
 
@@ -572,14 +512,14 @@ class NodePool:
         """Return a node that is still alive at ``t`` (task finished)."""
         if node.node_id not in self._members:
             return  # retired while busy (e.g. a stopped cloud worker)
-        self._enqueue(self._as_entry(node), t)
+        self._enqueue(node.node_id, t)
 
     def preempted(self, node: Node, t: float) -> None:
         """Return a node whose availability ended at ``t``; it re-enters
         through its next availability interval."""
         if node.node_id not in self._members:
             return
-        self._enqueue(self._as_entry(node), t)
+        self._enqueue(node.node_id, t)
 
     # ------------------------------------------------------------------
     def has_ready(self, t: float) -> bool:

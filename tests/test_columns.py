@@ -107,20 +107,68 @@ def test_column_node_matches_node_answers():
     nodes = _nodes_of(raw)
     probes = [0.0, 0.5, 1.0, 3.0, 7.5, 12.0, 30.0, 100.0]
     for i, node in enumerate(nodes):
-        view = cols.view(i)
-        assert isinstance(view, ColumnNode)
+        view = ColumnNode(cols, i)
         assert view.node_id == node.node_id
         assert view.power == node.power
         assert view.tag == node.tag
         assert not view.cloud
-        assert np.array_equal(view.starts, node.starts)
-        assert np.array_equal(view.ends, node.ends)
-        assert view.availability_fraction(50.0) == pytest.approx(
-            node.availability_fraction(50.0))
         for t in probes:  # monotone, as the simulation guarantees
             assert view.interval_at(t) == node.interval_at(t)
-            assert view.available_at(t) == node.available_at(t)
             assert view.next_available(t) == node.next_available(t)
+
+
+#: per-node interval lists around t=0: ends before, at and after 0,
+#: plus nodes with no interval at all
+_signed_fleet = st.lists(
+    st.lists(st.integers(-6, 6), max_size=6, unique=True)
+    .map(sorted).map(lambda pts: [(float(pts[i]), float(pts[i + 1]))
+                                  for i in range(0, len(pts) - 1, 2)]),
+    max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fleet=_signed_fleet, after=st.sampled_from([-2.0, 0.0, 0.5, 3.0]))
+def test_first_interval_matches_next_available_from_fresh_cursor(
+        fleet, after):
+    raw = [(np.array([s for s, _ in ivs], dtype=float),
+            np.array([e for _, e in ivs], dtype=float), 1.0, "")
+           for ivs in fleet]
+    template = NodeColumns.from_raw(raw)
+    ids, starts, ends = template.first_interval(after)
+    got = dict(zip(ids.tolist(), zip(starts.tolist(), ends.tolist())))
+    want = {}
+    for i in range(len(raw)):
+        nxt = template.fresh().next_available(i, after)
+        if nxt is not None:
+            want[i] = nxt
+    assert got == want
+    assert np.array_equal(template.cursor, template.offsets[:-1])
+
+
+def test_from_nodes_requires_dense_in_order_trace_ids():
+    nodes = _nodes_of(_fleet_raw(5, n=6))
+    cols = NodeColumns.from_nodes(nodes)
+    assert len(cols) == 6 and cols.tags == tuple(n.tag for n in nodes)
+    with pytest.raises(ValueError, match="trace node 0"):
+        NodeColumns.from_nodes(nodes[1:])
+    with pytest.raises(ValueError, match="trace node 0"):
+        NodeColumns.from_nodes([Node.stable(0, 5.0)])
+
+
+@pytest.mark.parametrize("garble", ["reversed", "decreasing", "power",
+                                    "tags"])
+def test_from_flat_rejects_inconsistent_layouts(garble):
+    cols = NodeColumns.from_raw(_fleet_raw(8, n=5))
+    o = cols.offsets
+    flat = dict(starts=cols.starts, ends=cols.ends, offsets=o,
+                power=cols.power, tags=cols.tags)
+    key = "offsets" if garble in ("reversed", "decreasing") else garble
+    flat[key] = {"reversed": o[::-1],
+                 "decreasing": np.r_[0, o[-1] + 1, o[2:]],
+                 "power": cols.power[:-1],
+                 "tags": cols.tags + ("extra",)}[garble]
+    with pytest.raises(ValueError, match="offsets|one entry per node"):
+        NodeColumns.from_flat(**flat)
 
 
 # ----------------------------------------------------------- pool parity
@@ -162,8 +210,8 @@ def test_columnar_pool_replays_object_pool_exactly(seed):
 
 
 def test_columnar_pool_handles_pre_zero_intervals():
-    """A first interval ending at/before t=0 takes the scalar filing
-    fallback; behaviour still matches the object pool."""
+    """Intervals ending at/before t=0 are skipped by the filing, with
+    no cursor advance; behaviour still matches the object pool."""
     raw = _fleet_raw(200, n=10)
     raw[4] = (np.array([-5.0, 2.0]), np.array([-1.0, 6.0]), 2.0, "warp")
     raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
@@ -187,7 +235,7 @@ def test_acquired_view_identity_is_stable():
 
 def test_cloud_nodes_coexist_with_columnar_members():
     """Dynamically added cloud workers stay Node objects; the weighted
-    cloud-vs-regular pick still works over the hybrid pool."""
+    cloud-vs-regular pick still works over columnar members."""
     raw = [(np.array([0.0]), np.array([1e9]), 1.0, f"h{i}")
            for i in range(3)]
     pool = NodePool(NodeColumns.from_raw(raw).fresh(),
@@ -272,36 +320,25 @@ def test_epoch_merge_replays_the_all_heap_pool(fleet, seed, data):
 
 # ---------------------------------------------------------- pool filing
 def test_pool_from_filing_replays_fresh_filing_exactly():
-    """A pool restored from a captured t=0 filing skeleton must be
-    indistinguishable from a freshly filed one — same draw-list order,
-    same heaps — so the RNG draw sequence (and every fixed-seed
-    golden) is unchanged when the harness caches the filing."""
-    raw = _fleet_raw(300, n=40)
-    template = NodeColumns.from_raw(raw)
-    donor = NodePool(template.fresh(), rng=np.random.default_rng(0))
-    filing = donor.capture_filing()
-    fresh = NodePool(template.fresh(), rng=np.random.default_rng([9, 1]))
-    restored = NodePool.from_filing(template.fresh(), filing,
-                                    rng=np.random.default_rng([9, 1]))
-    assert restored.vector_filed
-    assert _drive(fresh) == _drive(restored)
-
-
-def test_capture_filing_rejects_unvectorized_pools():
-    obj_pool = NodePool(_nodes_of(_fleet_raw(1, n=5)),
-                        rng=np.random.default_rng(0))
-    assert not obj_pool.vector_filed
-    with pytest.raises(ValueError, match="not capturable"):
-        obj_pool.capture_filing()
-    # a degenerate trace (interval ending before t=0) takes the scalar
-    # filing path, which advances cursors — also not capturable
-    raw = _fleet_raw(200, n=10)
-    raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
-                        rng=np.random.default_rng(0))
-    assert not col_pool.vector_filed
-    with pytest.raises(ValueError, match="not capturable"):
-        col_pool.capture_filing()
+    """A pool applying a cached t=0 filing must be indistinguishable
+    from a freshly filed one and from the object pool — same draw-list
+    order, same stores — so the RNG draw sequence (and every
+    fixed-seed golden) is unchanged when the harness caches the
+    filing.  The degenerate realization (intervals ending at/before
+    t=0) files through the same pure function."""
+    degenerate = _fleet_raw(200, n=10)
+    degenerate[4] = (np.array([-5.0, 2.0]), np.array([0.0, 6.0]), 2.0, "w")
+    degenerate[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
+    for raw in (_fleet_raw(300, n=40), degenerate):
+        template = NodeColumns.from_raw(raw)
+        filing = NodePool.file(template)
+        assert np.array_equal(template.cursor, template.offsets[:-1])
+        fresh = NodePool(template.fresh(),
+                         rng=np.random.default_rng([9, 1]))
+        restored = NodePool.from_filing(template.fresh(), filing,
+                                        rng=np.random.default_rng([9, 1]))
+        obj = NodePool(_nodes_of(raw), rng=np.random.default_rng([9, 1]))
+        assert _drive(fresh) == _drive(restored) == _drive(obj)
 
 
 def test_build_dci_restores_the_cached_filing():

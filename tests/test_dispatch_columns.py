@@ -141,9 +141,7 @@ def test_acquire_many_equals_sequential_acquires(fleet_seed, n, rng_seed,
             else:
                 pool_a.preempted(na, t)
                 pool_b.preempted(nb, t)
-    assert pool_a._ready_end_of == {
-        nid: (end, nid if type(e) is int else e.node_id)
-        for nid, (end, e) in pool_b._ready_end_of.items()}
+    assert pool_a._ready_end_of == pool_b._ready_end_of
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,55 @@ def test_persistent_salting_hides_and_gcs_stale_records(tmp_path):
     assert len(again) == 1
 
 
+def _tear_grid(store, makespan):
+    """Cut one stored grid to half its length, as a torn write would."""
+    store._conn.execute(
+        "UPDATE executions SET grid = SUBSTR(grid, 1, LENGTH(grid) / 2) "
+        "WHERE makespan = ?", (makespan,))
+    store._conn.commit()
+
+
+def test_persistent_fetch_drops_torn_rows_instead_of_crashing(tmp_path):
+    """A torn grid row is a counted ``corrupt`` miss: fetch deletes it
+    and returns only the whole records, never a partial one."""
+    store = PersistentHistoryStore(str(tmp_path / "h.sqlite"), salt="s")
+    for mk in (100.0, 200.0, 300.0):
+        store.add(ExecutionRecord("e//X", 10, mk, np.full(100, mk)))
+    _tear_grid(store, 200.0)
+    got = store.fetch("e//X")
+    assert [r.makespan for r in got] == [100.0, 300.0]
+    assert all(np.array_equal(r.grid, np.full(100, r.makespan))
+               for r in got)
+    assert store.corrupt == 1
+    assert len(store) == 2
+    assert store.fetch_rates("e//X") == [(10, 100.0), (10, 300.0)]
+    assert [r.makespan for r in store.fetch("e//X")] == [100.0, 300.0]
+    assert store.corrupt == 1
+
+
+@pytest.mark.parametrize("grid", ["[1.0, [2.0]]", '["a"]', "7", "null"])
+def test_persistent_fetch_rejects_grids_that_are_not_float_lists(
+        tmp_path, grid):
+    store = PersistentHistoryStore(str(tmp_path / "h.sqlite"), salt="s")
+    store.add(ExecutionRecord("e//X", 10, 100.0, np.full(100, 1.0)))
+    store._conn.execute("UPDATE executions SET grid = ?", (grid,))
+    assert store.fetch("e//X") == [] and store.corrupt == 1
+
+
+def test_persistent_gc_reclaims_undecodable_current_rows(tmp_path):
+    path = str(tmp_path / "h.sqlite")
+    PersistentHistoryStore(path, salt="old").add(
+        ExecutionRecord("e//X", 10, 50.0, np.full(100, 5.0)))
+    store = PersistentHistoryStore(path, salt="new")
+    for mk in (100.0, 200.0):
+        store.add(ExecutionRecord("e//X", 10, mk, np.full(100, mk)))
+    _tear_grid(store, 100.0)
+    rows, nbytes = store.gc()
+    assert rows == 2 and nbytes > 0
+    assert store.corrupt == 1 and store.stale_count() == 0
+    assert [r.makespan for r in store.fetch("e//X")] == [200.0]
+
+
 def test_plane_gc_delegates_and_defaults_to_noop():
     assert HistoryPlane(InMemoryHistoryStore()).gc() == (0, 0)
     path_store = PersistentHistoryStore(":memory:", salt="s")

@@ -209,7 +209,7 @@ class PoolModel:
         """ready ∪ future ∪ busy partitions the membership set."""
         pool = self.pool
         ready = set(pool._ready_end_of)
-        future = {nid for _, nid, _, _ in pool._future
+        future = {nid for _, nid, _ in pool._future
                   if nid in pool._members}
         busy = {nid for nid in self.busy if nid in pool._members}
         assert ready | future | busy == pool._members
@@ -217,10 +217,9 @@ class PoolModel:
         assert not ready & busy
         assert not future & busy
         assert pool.size == len(pool._members)
-        # every filed-ready node's interval genuinely covers no earlier
-        # end than recorded (ends only go stale forward in time)
-        for nid, (end, node) in pool._ready_end_of.items():
-            assert node.node_id == nid
+        # every filed-ready id maps to the node object of that id
+        for nid in pool._ready_end_of:
+            assert pool._nodes[nid].node_id == nid
 
     def step(self, op, dt):
         self.t += dt
@@ -313,8 +312,7 @@ def test_sweep_refile_ghosts_are_compacted_away(monkeypatch):
     assert compactions
     # after the final compaction cycle each indexed id appears at most
     # once per draw list
-    ids = [e if type(e) is int else e.node_id for e in pool._ready_reg]
-    live = [i for i in ids if i in pool._ready_end_of]
+    live = [i for i in pool._ready_reg if i in pool._ready_end_of]
     assert len(live) == len(set(live))
 
 

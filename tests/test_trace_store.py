@@ -166,6 +166,40 @@ def test_torn_entry_is_dropped_and_regenerated(store):
     assert "1 corrupt" in store.summary()
 
 
+@pytest.mark.parametrize("member", ["starts", "bounds"])
+def test_garbled_entry_is_dropped_and_regenerated(store, member,
+                                                  monkeypatch):
+    """An entry that decodes but fails the columns validation (the mmap
+    path skips the zip CRC) is a ``corrupt`` miss too: world assembly
+    regenerates the realization instead of crashing on every run."""
+    import numpy as np
+
+    from repro.experiments import harness as hs
+
+    def pool_draws():           # cold in-process caches: read the disk
+        monkeypatch.setattr(hs, "TRACE_CACHE", TraceCache())
+        monkeypatch.setattr(hs, "ASSEMBLY_CACHE", hs.AssemblyCache())
+        harness = hs.ScenarioHarness(horizon=3600.0)
+        pool = harness.build_dci("d", trace="nd", middleware="xwhep",
+                                 seed=7, cap=5, stream=(3,)).pool
+        return [(n.node_id, end) for n, end in pool.acquire_many(0.0, 5)]
+
+    clean = pool_draws()        # generates and archives the entry
+    key = ("nd", (7, 3), 5, 3600.0)
+    path = store.path_for(key)
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    if member == "starts":      # intervals no longer positive-length
+        arrays["starts"] = arrays["ends"] + 1.0
+    else:                       # offsets disagree with the intervals
+        arrays["bounds"] = arrays["bounds"][::-1].copy()
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    assert pool_draws() == clean
+    assert store.corrupt == 1
+    assert store.saves == 2 and os.path.exists(path)
+
+
 # ------------------------------------------------- generator fingerprint
 def test_fingerprint_hashes_exactly_the_generator_modules():
     """Only the modules a realization is produced by are hashed: the
