@@ -61,6 +61,9 @@ def pytest_terminal_summary(terminalreporter):
     bench_json = _BENCH_DIR / "results" / "BENCH_engine.json"
     if bench_json.exists():
         record = json.loads(bench_json.read_text())
+        if "src_loc" in record:
+            terminalreporter.write_line(
+                f"src/ size: {record['src_loc']:,} lines of Python")
         sweep = record.get("scale_sweep")
         if sweep:
             terminalreporter.write_line("engine scale sweep:")

@@ -12,7 +12,9 @@ perf record CI uploads as an artifact:
   JSON (CI uploads it as an artifact in the slow lane);
 * the cold-vs-warm wall time of materializing a seti-class trace
   realization through the shared on-disk :class:`~repro.experiments.
-  trace_store.TraceStore` (warm must stay at least 5x faster).
+  trace_store.TraceStore` (warm must stay at least 5x faster);
+* ``src_loc``, the total line count of ``src/**/*.py`` — the size bar
+  of the ROADMAP's one-path-per-layer item.
 """
 
 import cProfile
@@ -20,9 +22,12 @@ import gc
 import io
 import json
 import os
+import pathlib
 import pstats
 import resource
 import time
+
+import repro
 
 from repro.experiments import (
     DCISpec,
@@ -83,6 +88,13 @@ _PROFILE_PATH = os.path.join(results_dir(), "PROFILE_engine_100k.txt")
 def _peak_rss_kb() -> int:
     """Linux ru_maxrss is KB (no psutil in the image)."""
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+
+
+def _src_loc() -> int:
+    """Total line count of ``src/**/*.py`` (what ``wc -l`` sums)."""
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    return sum(path.read_bytes().count(b"\n")
+               for path in src.rglob("*.py"))
 
 
 def _merge_payload(section: dict) -> None:
@@ -166,6 +178,7 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
         "seed_events_per_second": PR6_EVENTS_PER_SEC,
         "speedup_vs_seed": round(speedup_vs_seed, 2),
         "peak_rss_kb": _peak_rss_kb(),
+        "src_loc": _src_loc(),
         "trace_store": {
             "nodes": SETI_CAP,
             "horizon_seconds": SETI_HORIZON,

@@ -15,7 +15,8 @@ Run:  python examples/prediction_service.py
 
 from repro.core.info import InformationModule
 from repro.core.oracle import fit_alpha, prediction_success
-from repro.history.records import ExecutionRecord, SQLiteHistoryStore
+from repro.history import PersistentHistoryStore
+from repro.history.records import ExecutionRecord
 from repro.experiments import ExecutionConfig, run_campaign
 
 ENV = ("nd", "xwhep", "SMALL")
@@ -29,7 +30,7 @@ def main() -> None:
           f"{PREDICT_AT:.0%} completion\n")
 
     # 1. Build a history archive from 8 training executions.
-    store = SQLiteHistoryStore(":memory:")
+    store = PersistentHistoryStore(":memory:")
     info = InformationModule(store=store)
     train_cfgs = [ExecutionConfig(trace=trace, middleware=mw, category=cat,
                                   seed=500 + i, bot_size=200,

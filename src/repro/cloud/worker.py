@@ -13,7 +13,8 @@
   merged back (first completion on either side wins).
 
 All three paths share :class:`CloudWorkerHandle`, the Scheduler-side
-record used for billing and idle detection.
+record of one worker (its billing and idle state live in the run's
+:class:`~repro.core.ledger.HandleLedger`).
 """
 
 from __future__ import annotations
@@ -31,23 +32,19 @@ __all__ = ["CloudWorkerHandle", "RescheduleAgent",
 
 
 class CloudWorkerHandle:
-    """Scheduler-side view of one provisioned cloud worker."""
+    """Scheduler-side view of one provisioned cloud worker.
 
-    __slots__ = ("instance", "deploy_mode", "agent", "billed_busy",
-                 "stopped", "ever_assigned", "last_busy", "ledger_index")
+    Its billing and idle state lives in the owning run's
+    :class:`~repro.core.ledger.HandleLedger`, at ``ledger_index``.
+    """
+
+    __slots__ = ("instance", "deploy_mode", "agent", "ledger_index")
 
     def __init__(self, instance: CloudInstance, deploy_mode: str):
         self.instance = instance
         self.deploy_mode = deploy_mode
         self.agent: Optional[object] = None
-        #: busy CPU-seconds already billed to the Credit System
-        self.billed_busy = 0.0
-        self.stopped = False
-        self.ever_assigned = False
-        #: last instant the worker was observed computing (idle-release)
-        self.last_busy = instance.boot_end
-        #: slot in the owning run's HandleLedger (set on launch);
-        #: billing attrs above are mirrored there — mutate via the ledger
+        #: slot in the owning run's HandleLedger (set on launch)
         self.ledger_index = -1
 
     @property
@@ -195,21 +192,11 @@ class CloudDuplicationCoordinator:
     def busy(self, node: Node) -> bool:
         return node.node_id in self.running
 
-    def busy_seconds(self, node: Node) -> float:
-        """CPU seconds this worker spent on copies (billing basis)."""
-        total = self._busy_acc.get(node.node_id, 0.0)
-        since = self._busy_since.get(node.node_id)
-        if since is not None:
-            total += self.sim.now - since
-        return total
-
     def usage_of(self, node_ids: List[int], now: float
                  ) -> "tuple[List[float], List[bool]]":
-        """Bulk ``(busy_seconds, busy)`` snapshot for the billing scan.
-
-        Same per-id arithmetic as :meth:`busy_seconds`/:meth:`busy`, one
-        call instead of two per handle per tick.
-        """
+        """Bulk ``(busy_seconds, busy)`` snapshot for billing: CPU
+        seconds each worker spent on copies (including the in-flight
+        one) and whether it is computing now."""
         acc = self._busy_acc
         since = self._busy_since
         running = self.running

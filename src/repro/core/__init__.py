@@ -28,7 +28,7 @@ from repro.core.info import BoTMonitor, InformationModule
 from repro.core.oracle import Oracle, Prediction, fit_alpha
 from repro.core.scheduler import SchedulerConfig, SpeQuloSScheduler
 from repro.core.service import SpeQuloS
-from repro.history.records import InMemoryHistoryStore, SQLiteHistoryStore
+from repro.history.records import InMemoryHistoryStore
 from repro.core.strategies import (
     ALL_COMBOS,
     DEPLOY_CLOUD_DUP,
@@ -53,7 +53,6 @@ __all__ = [
     "SpeQuloSScheduler",
     "SpeQuloS",
     "InMemoryHistoryStore",
-    "SQLiteHistoryStore",
     "StrategyCombo",
     "parse_combo",
     "ALL_COMBOS",

@@ -9,7 +9,9 @@ Life cycle of an order (mirrors the sequence diagram):
 
 1. a user *deposits* (or an administrator's deposit policy does);
 2. ``order(bot_id, user, amount)`` escrows credits for one BoT;
-3. the Scheduler ``bill``\\ s the order as Cloud workers run;
+3. the Scheduler bills the order as Cloud workers run
+   (:meth:`CreditSystem.bill_many`, one clamped amount per worker
+   charge);
 4. ``close(bot_id)`` pays the spent part and refunds the rest to the
    user's account ("If the BoT execution was completed before all the
    credits have been spent, the Credit System transfers back the
@@ -44,8 +46,9 @@ between simultaneous runs is the arbitration policy's job
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["CreditSystem", "InsufficientCredits", "CreditOrder",
            "CreditPool", "CappedDailyDeposit", "NetworkOfFavors",
@@ -120,8 +123,8 @@ class CreditSystem:
     # ---------------------------------------------------------- accounts
     def deposit(self, user: str, amount: float) -> float:
         """Credit a user account; returns the new balance."""
-        if amount < 0:
-            raise ValueError("deposit must be non-negative")
+        if not 0 <= amount < math.inf:
+            raise ValueError("deposit must be finite and non-negative")
         self._accounts[user] = self._accounts.get(user, 0.0) + amount
         self.ledger.append(("deposit", user, amount))
         return self._accounts[user]
@@ -132,8 +135,8 @@ class CreditSystem:
     # ------------------------------------------------------------ orders
     def order(self, bot_id: str, user: str, amount: float) -> CreditOrder:
         """Escrow ``amount`` credits from ``user`` for ``bot_id``."""
-        if amount <= 0:
-            raise ValueError("order amount must be positive")
+        if not 0 < amount < math.inf:
+            raise ValueError("order amount must be finite and positive")
         if bot_id in self._orders and not self._orders[bot_id].closed:
             raise ValueError(f"BoT {bot_id!r} already has an open order")
         if self.balance(user) < amount:
@@ -173,132 +176,41 @@ class CreditSystem:
         return order.remaining
 
     def bill(self, bot_id: str, amount: float) -> float:
-        """Consume credits from the order; returns what was billable.
+        """Consume credits from the order; returns what was billable
+        (one amount through :meth:`bill_many`)."""
+        return self.bill_many(bot_id, (amount,))[0]
 
-        Billing is clamped to the remaining escrow (the order's own, or
-        the shared pool's for pooled orders) — the Scheduler stops
-        Cloud workers when this returns less than asked.
+    def bill_many(self, bot_id: str, amounts: Sequence[float]) -> List[float]:
+        """Bill a sequence of amounts in order; returns what each billed.
+
+        Every amount is clamped to the escrow left after the ones
+        before it: a private order's own remainder, or a pooled order's
+        share of the pool (capped by its arbitration allowance).  A
+        closed order or pool, or an unknown BoT, bills nothing.  The
+        loop never stops early; the caller decides what a shortfall
+        (``billed < amount``) means — the Scheduler stops the run's
+        Cloud workers.
         """
-        if amount < 0:
-            raise ValueError("bill amount must be non-negative")
         order = self._orders.get(bot_id)
-        if order is None or order.closed:
-            return 0.0
-        billed = min(amount, self.remaining_for(bot_id))
-        order.spent += billed
-        if order.pool is not None:
-            self._pools[order.pool].spent += billed
-        if billed:
-            self.ledger.append(("bill", bot_id, billed))
-        return billed
-
-    def bill_many(self, bot_id: str, amounts: List[float],
-                  shortfall_tol: float = 0.0) -> Tuple[List[float], int]:
-        """Bill a sequence of amounts as one batch.
-
-        Float-identical to calling :meth:`bill` once per amount in
-        order — the order/pool lookups and the remaining-escrow
-        arithmetic are hoisted out of the loop, but every clamp,
-        accumulation and ledger append happens in the same sequence
-        the repeated scalar calls would produce.  Billing stops after
-        the first shortfall (``billed < amount - shortfall_tol``),
-        which is exactly where the Scheduler stops billing a run it is
-        about to tear down.
-
-        Returns ``(billed, fail)``: one billed value per *attempted*
-        amount (the list is short when a shortfall stopped the batch),
-        and the index of the shortfall, or ``-1`` if every amount was
-        covered in full.
-        """
-        out: List[float] = []
-        order = self._orders.get(bot_id)
-        if order is None or order.closed:
-            for amount in amounts:
-                if amount < 0:
-                    raise ValueError("bill amount must be non-negative")
-                out.append(0.0)
-                if 0.0 < amount - shortfall_tol:
-                    return out, len(out) - 1
-            return out, -1
-        append = self.ledger.append
+        if order is None:
+            # an unknown BoT bills like a closed order that is never stored
+            order = CreditOrder(bot_id=bot_id, user="", provisioned=0.0,
+                                closed=True)
+        pool = None if order.pool is None else self._pools[order.pool]
+        escrow = order if pool is None else pool
+        allowance = None if pool is None else order.allowance
+        # a closed escrow's remainder clamps to 0 (escrow spend is >= 0)
+        provisioned = 0.0 if order.closed or escrow.closed \
+            else escrow.provisioned
         spent = order.spent
-        fail = -1
-        if order.pool is None:
-            provisioned = order.provisioned
-            # fast path: when the escrow covers the whole batch with
-            # margin (the same conservative bound the Scheduler's
-            # vectorized scan uses), every clamp resolves to
-            # ``billed == amount`` — sequential partial sums of
-            # non-negative floats are monotone, so no prefix can
-            # overshoot what the full sum (plus margin) fits.  The
-            # accumulation below replays the identical float adds.
-            if amounts and min(amounts) >= 0.0:
-                total = 0.0
-                for amount in amounts:
-                    total += amount
-                remaining = provisioned - spent
-                if remaining >= total * (1.0 + 1e-9) + 1e-9:
-                    for amount in amounts:
-                        spent += amount
-                    order.spent = spent
-                    self.ledger.extend(
-                        [("bill", bot_id, amount)
-                         for amount in amounts if amount])
-                    return list(amounts), -1
+        escrow_spent = escrow.spent
+        append = self.ledger.append
+        out: List[float] = []
+        try:
             for amount in amounts:
-                if amount < 0:
+                if not amount >= 0:     # also rejects NaN
                     raise ValueError("bill amount must be non-negative")
-                remaining = provisioned - spent
-                if remaining < 0.0:
-                    remaining = 0.0
-                billed = min(amount, remaining)
-                spent += billed
-                if billed:
-                    append(("bill", bot_id, billed))
-                out.append(billed)
-                if billed < amount - shortfall_tol:
-                    fail = len(out) - 1
-                    break
-            order.spent = spent
-            return out, fail
-        pool = self._pools[order.pool]
-        pool_closed = pool.closed
-        pool_provisioned = pool.provisioned
-        pool_spent = pool.spent
-        allowance = order.allowance
-        if not pool_closed and amounts and min(amounts) >= 0.0:
-            # same whole-batch-fits fast path, against the pooled
-            # remainder (and the arbitration allowance, both of which
-            # shrink by exactly the billed partial sums)
-            total = 0.0
-            for amount in amounts:
-                total += amount
-            remaining = pool_provisioned - pool_spent
-            if remaining < 0.0:
-                remaining = 0.0
-            if allowance is not None:
-                cap = allowance - spent
-                if cap < 0.0:
-                    cap = 0.0
-                if cap < remaining:
-                    remaining = cap
-            if remaining >= total * (1.0 + 1e-9) + 1e-9:
-                for amount in amounts:
-                    spent += amount
-                    pool_spent += amount
-                order.spent = spent
-                pool.spent = pool_spent
-                self.ledger.extend(
-                    [("bill", bot_id, amount)
-                     for amount in amounts if amount])
-                return list(amounts), -1
-        for amount in amounts:
-            if amount < 0:
-                raise ValueError("bill amount must be non-negative")
-            if pool_closed:
-                remaining = 0.0
-            else:
-                remaining = pool_provisioned - pool_spent
+                remaining = provisioned - escrow_spent
                 if remaining < 0.0:
                     remaining = 0.0
                 if allowance is not None:
@@ -307,18 +219,17 @@ class CreditSystem:
                         cap = 0.0
                     if cap < remaining:
                         remaining = cap
-            billed = min(amount, remaining)
-            spent += billed
-            pool_spent += billed
-            if billed:
-                append(("bill", bot_id, billed))
-            out.append(billed)
-            if billed < amount - shortfall_tol:
-                fail = len(out) - 1
-                break
-        order.spent = spent
-        pool.spent = pool_spent
-        return out, fail
+                billed = min(amount, remaining)
+                spent += billed
+                escrow_spent += billed
+                if billed:
+                    append(("bill", bot_id, billed))
+                out.append(billed)
+        finally:
+            # a rejected amount leaves the ones before it billed
+            order.spent = spent
+            escrow.spent = escrow_spent
+        return out
 
     def close(self, bot_id: str) -> Tuple[float, float]:
         """Pay the order: returns (spent, refunded).
@@ -345,8 +256,8 @@ class CreditSystem:
     def open_pool(self, pool_id: str, user: str, amount: float,
                   expected_members: Optional[int] = None) -> CreditPool:
         """Escrow ``amount`` from ``user`` into a shared pool."""
-        if amount <= 0:
-            raise ValueError("pool amount must be positive")
+        if not 0 < amount < math.inf:
+            raise ValueError("pool amount must be finite and positive")
         if pool_id in self._pools and not self._pools[pool_id].closed:
             raise ValueError(f"pool {pool_id!r} is already open")
         if expected_members is not None and expected_members < 1:
@@ -370,8 +281,8 @@ class CreditSystem:
         pool = self._pools.get(pool_id)
         if pool is None or pool.closed:
             raise KeyError(f"no open pool {pool_id!r}")
-        if amount < 0:
-            raise ValueError("fund amount must be non-negative")
+        if not 0 <= amount < math.inf:
+            raise ValueError("fund amount must be finite and non-negative")
         if self.balance(user) < amount:
             raise InsufficientCredits(
                 f"user {user!r} has {self.balance(user):.1f} credits, "
@@ -403,7 +314,7 @@ class CreditSystem:
         order = self._orders.get(bot_id)
         if order is None:
             raise KeyError(f"no order for BoT {bot_id!r}")
-        if allowance is not None and allowance < 0:
+        if allowance is not None and not allowance >= 0:
             raise ValueError("allowance must be >= 0 or None")
         order.allowance = allowance
 

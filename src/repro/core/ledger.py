@@ -1,13 +1,9 @@
-"""Columnar worker-handle ledger: the Scheduler's per-tick billing state.
+"""Columnar worker-handle ledger: the Scheduler's per-worker billing state.
 
 Algorithm 2 is a per-tick scan over every Cloud worker the service
-manages, so its cost scales with the supplement size: the 10^5-node
-profile showed ``_bill_and_manage`` and the per-handle
-``BillingMeter.charge → PriceBook.rate`` chain consuming ~40 % of run
-wall — thousands of Python calls per tick, each re-resolving a price
-that never changes.  The :class:`HandleLedger` stores one run's
-:class:`~repro.cloud.worker.CloudWorkerHandle` billing state as flat
-NumPy columns —
+manages, so its cost scales with the supplement size.  The
+:class:`HandleLedger` stores one run's Cloud worker state as flat NumPy
+columns —
 
 * ``billed_busy`` — busy CPU·seconds already billed per handle;
 * ``last_busy``   — last instant the handle was observed computing;
@@ -15,21 +11,15 @@ NumPy columns —
 * ``node_ids``    — the handles' node ids (bulk usage snapshots);
 
 so the scheduler computes every handle's busy-second delta in one
-vectorized pass and drops to Python only for the handles that actually
-charge (``delta > 0``) or transition (idle-grace release).
+vectorized pass and drops to Python only for the handles that
+transition (idle-grace release).  The columns are the only copy of
+this state: a :class:`~repro.cloud.worker.CloudWorkerHandle` holds the
+instance, deployment and its ``ledger_index`` into them, nothing else.
 
-Sync contract (load-bearing): the ledger columns are the scan's
-working state, and the handle objects' attributes are kept *exactly*
-mirrored — every mutation of ``billed_busy`` / ``last_busy`` /
-``ever_assigned`` / ``stopped`` goes through a ledger method
-(:meth:`set_billed`, :meth:`touch_busy_bulk`, :meth:`mark_stopped`, and
-:meth:`set_billed_bulk`), which writes both sides.  External readers (tests,
-reports) keep seeing plain handle attributes; writing a handle
-attribute directly would desync the columns and is therefore reserved
-to this module.  Charge *order* is equally load-bearing: bulk indices
-are always processed ascending — the historical ``run.handles``
-iteration order — so the per-handle ``credits.bill`` sequence (ledger
-entries, escrow clamping) stays byte-identical to the scalar loop the
+Charge *order* is load-bearing: indices are always processed ascending
+— the run's launch order — so the per-handle clamp sequence of
+:meth:`~repro.core.credit.CreditSystem.bill_many` (ledger entries,
+escrow clamping) stays byte-identical to the per-handle loop the
 columns replaced (pinned by ``tests/test_ledger_billing.py``).
 
 ``by_node`` indexes handles by ``node_id`` so starvation callbacks
@@ -47,7 +37,7 @@ __all__ = ["HandleLedger"]
 
 
 class HandleLedger:
-    """Flat-array mirror of one QoS run's worker handles."""
+    """Flat-array billing and lifecycle state of one QoS run's workers."""
 
     __slots__ = ("handles", "by_node", "n", "active", "billed_busy",
                  "last_busy", "ever_assigned", "stopped", "node_ids",
@@ -83,21 +73,24 @@ class HandleLedger:
             setattr(self, name, new)
 
     def append(self, handle) -> int:
-        """Register a freshly launched handle; returns its index."""
+        """Register a freshly launched handle; returns its index.
+
+        Its worker starts live, never assigned, with nothing billed,
+        and counts as last busy when its instance finishes booting.
+        """
         i = self.n
         if i >= len(self.billed_busy):
             self._grow(i + 1)
         self.handles.append(handle)
         handle.ledger_index = i
-        self.by_node[handle.node.node_id] = handle
-        self.billed_busy[i] = handle.billed_busy
-        self.last_busy[i] = handle.last_busy
-        self.ever_assigned[i] = handle.ever_assigned
-        self.stopped[i] = handle.stopped
-        self.node_ids[i] = handle.node.node_id
+        node_id = handle.node.node_id
+        self.by_node[node_id] = handle
+        # columns past ``n`` are still zero: nothing billed, never
+        # assigned, not stopped
+        self.last_busy[i] = handle.instance.boot_end
+        self.node_ids[i] = node_id
         self.n = i + 1
-        if not handle.stopped:
-            self.active += 1
+        self.active += 1
         self._live_idx = None
         self._live_ids = None
         return i
@@ -106,39 +99,17 @@ class HandleLedger:
         return self.by_node.get(node_id)
 
     # ------------------------------------------------------------------
-    # mutations (write the column AND the mirrored handle attribute)
+    # mutations
     # ------------------------------------------------------------------
-    def set_billed(self, handle, total: float) -> None:
-        """Scalar billed-busy update (stop-time settlements)."""
-        self.billed_busy[handle.ledger_index] = total
-        handle.billed_busy = total
-
-    def set_billed_bulk(self, idx: np.ndarray, totals: np.ndarray) -> None:
-        """Billed-busy update for the tick's charged handles.
-
-        ``idx`` must be ascending — the historical charge order.
-        """
-        self.billed_busy[idx] = totals
-        handles = self.handles
-        for i, total in zip(idx.tolist(), totals.tolist()):
-            handles[i].billed_busy = total
-
     def touch_busy_bulk(self, idx: np.ndarray, now: float) -> None:
         """Mark the tick's busy handles (assignment + idle tracking)."""
         self.ever_assigned[idx] = True
         self.last_busy[idx] = now
-        handles = self.handles
-        for i in idx.tolist():
-            h = handles[i]
-            h.ever_assigned = True
-            h.last_busy = now
 
-    def mark_stopped(self, handle) -> None:
-        i = handle.ledger_index
+    def mark_stopped(self, i: int) -> None:
         if not self.stopped[i]:
             self.active -= 1
         self.stopped[i] = True
-        handle.stopped = True
         self._live_idx = None
         self._live_ids = None
 
@@ -155,13 +126,11 @@ class HandleLedger:
             self._live_idx = np.flatnonzero(~self.stopped[:self.n])
         return self._live_idx
 
-    def live_node_ids(self, live: Optional[np.ndarray] = None) -> list:
-        if live is None:
-            if self._live_ids is None:
-                self._live_ids = \
-                    self.node_ids[self.live_indices()].tolist()
-            return self._live_ids
-        return self.node_ids[live].tolist()
+    def live_node_ids(self) -> list:
+        """Node ids of :meth:`live_indices`, memoized the same way."""
+        if self._live_ids is None:
+            self._live_ids = self.node_ids[self.live_indices()].tolist()
+        return self._live_ids
 
     def __len__(self) -> int:
         return self.n

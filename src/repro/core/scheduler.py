@@ -130,12 +130,12 @@ class QoSRun:
     stop_reason: Optional[str] = None
     #: absolute completion deadline (deadline-proximity arbitration)
     deadline: Optional[float] = None
-    #: columnar mirror of ``handles`` billing state (shares the list)
+    #: the handles' billing and lifecycle columns (shares the list)
     ledger: HandleLedger = field(default_factory=HandleLedger)
 
     def __post_init__(self) -> None:
         # the ledger and the run expose ONE handle list: appends go
-        # through ledger.append, which keeps the columns in sync
+        # through ledger.append, which fills the handle's columns
         self.ledger.handles = self.handles
 
     def active_workers(self) -> int:
@@ -431,27 +431,6 @@ class SpeQuloSScheduler:
         run.started_at = self.sim.now
 
     # ------------------------------------------------------------------
-    def _busy_seconds(self, run: QoSRun, handle: CloudWorkerHandle) -> float:
-        if handle.deploy_mode == DEPLOY_CLOUD_DUP:
-            assert run.coordinator is not None
-            return run.coordinator.busy_seconds(handle.node)
-        return run.server.cloud_busy_seconds(handle.node)
-
-    def _bill_handle(self, run: QoSRun, handle: CloudWorkerHandle) -> bool:
-        """Bill usage since the last tick; False when credits ran dry.
-
-        Priced through the meter at the run's provider rate — the
-        single per-provider accounting source of the economics plane.
-        """
-        total = self._busy_seconds(run, handle)
-        delta = total - handle.billed_busy
-        if delta <= 0:
-            return True
-        billed, asked = self.meter.charge(run.bot_id, run.driver.name,
-                                          delta, self.sim.now)
-        run.ledger.set_billed(handle, total)
-        return billed >= asked - 1e-9
-
     def _usage_snapshot(self, run: QoSRun, node_ids: List[int]):
         """Bulk ``(busy_seconds, busy)`` for the run's deployment path
         (all handles of a run share one deploy mode)."""
@@ -464,11 +443,11 @@ class SpeQuloSScheduler:
                      totals: Sequence[float]) -> int:
         """Charge every positive busy delta of the live handles as one
         :meth:`~repro.economics.billing.BillingMeter.charge_many` batch,
-        in ascending handle order, and advance their billed totals.
+        in ascending handle order, and advance their billed totals —
+        the one path every credit the Scheduler bills takes.
 
         Returns the position in ``live`` of the first charge the escrow
-        could not cover (its handle is billed, later ones are not), or
-        -1 when every charge was covered.
+        could not cover in full, or -1 when every charge was covered.
         """
         ledger = run.ledger
         totals = np.asarray(totals, dtype=np.float64)
@@ -480,14 +459,10 @@ class SpeQuloSScheduler:
         fail = self.meter.charge_many(run.bot_id, run.driver.name,
                                       pos.tolist(), self.sim.now)
         if pos.size == live.size:   # steady state: all charged
-            idx, charged = live, totals
+            ledger.billed_busy[live] = totals
         else:
-            idx, charged = live[charge_mask], totals[charge_mask]
-        if fail < 0:
-            ledger.set_billed_bulk(idx, charged)
-            return -1
-        ledger.set_billed_bulk(idx[:fail + 1], charged[:fail + 1])
-        return int(np.flatnonzero(charge_mask)[fail])
+            ledger.billed_busy[live[charge_mask]] = totals[charge_mask]
+        return fail if fail < 0 else int(np.flatnonzero(charge_mask)[fail])
 
     def _bill_and_manage(self, run: QoSRun) -> None:
         """Algorithm 2, columnar: bill, release idle workers, stop
@@ -495,14 +470,14 @@ class SpeQuloSScheduler:
 
         Equivalent to the historical per-handle loop (bill a handle,
         then touch it if busy or release it past its idle grace, stop
-        the run at the first uncovered charge — the reference in
-        ``tests/oracles/billing.py``) because stopping a handle never
-        changes another handle's busy accounting within a tick, and
-        the settlement re-bill of a grace stop always sees a zero
-        delta.  Charging first in handle order therefore yields the
-        same ``credits.bill`` sequence; on a shortfall only the handles
-        the loop reached before it are managed, then :meth:`stop_all`
-        settles the rest.
+        the run at the first uncovered charge and settle the rest one
+        by one — the reference in ``tests/oracles/billing.py``) because
+        stopping a handle never changes another handle's busy
+        accounting, or the credits, within a tick.  Charging every
+        handle first, in handle order, therefore yields the same
+        ``credits`` clamp sequence; on a shortfall only the handles the
+        loop reached before it are managed, then :meth:`stop_all`
+        releases everything (its settlement sees zero deltas).
         """
         ledger = run.ledger
         live = ledger.live_indices()
@@ -518,7 +493,8 @@ class SpeQuloSScheduler:
 
     def _manage_idle(self, run: QoSRun, live: np.ndarray,
                      busy: Sequence[bool]) -> None:
-        """Touch busy handles; stop idle ones past their grace."""
+        """Touch busy handles; release idle ones past their grace (the
+        tick has just billed them)."""
         ledger = run.ledger
         now = self.sim.now
         if False not in busy:           # steady state: nobody idle
@@ -542,16 +518,26 @@ class SpeQuloSScheduler:
         if stop_mask.any():
             handles = ledger.handles
             for i in idle_idx[stop_mask].tolist():
-                self._stop_handle(run, handles[i])
+                self._release(run, handles[i])
 
     # ------------------------------------------------------------------
     # stopping
     # ------------------------------------------------------------------
     def _stop_handle(self, run: QoSRun, handle: CloudWorkerHandle) -> None:
-        if handle.stopped:
+        """Settle one worker's unbilled usage, then release it."""
+        i = handle.ledger_index
+        if run.ledger.stopped[i]:
             return
-        self._bill_handle(run, handle)
-        run.ledger.mark_stopped(handle)
+        totals, _busy = self._usage_snapshot(run, [handle.node.node_id])
+        self._charge_live(run, np.array([i]), totals)
+        self._release(run, handle)
+
+    def _release(self, run: QoSRun, handle: CloudWorkerHandle) -> None:
+        """Detach one worker from its deployment and destroy it."""
+        i = handle.ledger_index
+        if run.ledger.stopped[i]:
+            return
+        run.ledger.mark_stopped(i)
         self._active_total -= 1
         self._active_by_server[run.server] -= 1
         node = handle.node
@@ -570,29 +556,20 @@ class SpeQuloSScheduler:
         if handle is not None:
             self._stop_handle(run, handle)
 
-    def _settle_bulk(self, run: QoSRun) -> None:
-        """Pre-bill every live handle in one batch before a teardown.
-
-        Stopping a handle never changes another handle's busy
-        accounting, so the batch is the per-handle settlement sequence
-        of :meth:`_stop_handle`, which then sees ``delta == 0`` — up to
-        a shortfall, after which the handles not yet billed settle one
-        by one there, clamped in the historical order.
-        """
+    def stop_all(self, run: QoSRun, reason: str) -> None:
+        """Stop every Cloud worker of the run (exhaustion/completion):
+        settle them all in one batch, then release them in order."""
+        if run.stop_reason is None:
+            run.stop_reason = reason
         ledger = run.ledger
         live = ledger.live_indices()
         if live.size == 0:
             return
         totals, _busy = self._usage_snapshot(run, ledger.live_node_ids())
         self._charge_live(run, live, totals)
-
-    def stop_all(self, run: QoSRun, reason: str) -> None:
-        """Stop every Cloud worker of the run (exhaustion/completion)."""
-        if run.stop_reason is None:
-            run.stop_reason = reason
-        self._settle_bulk(run)
-        for handle in run.handles:
-            self._stop_handle(run, handle)
+        handles = ledger.handles
+        for i in live.tolist():
+            self._release(run, handles[i])
 
     def finalize(self, run: QoSRun) -> None:
         """BoT done: stop workers, pay the order, refund the rest."""

@@ -9,8 +9,9 @@ optionally time-varying), bills the
 :class:`~repro.core.credit.CreditSystem`, and keeps the per-provider
 ledger every consumer shares —
 
-* the Scheduler's Algorithm 2 billing loop charges usage through
-  :meth:`charge`;
+* the Scheduler's Algorithm 2 billing charges usage through
+  :meth:`charge_many` — every tick, teardown and single-worker stop
+  settles its workers' busy seconds as one batch;
 * launch sizing and the :class:`~repro.core.scheduler.CloudArbiter`'s
   ``credit_budget`` read spendable credits through
   :meth:`remaining_for` (pool-aware, delegated to the credit system);
@@ -20,12 +21,14 @@ ledger every consumer shares —
 Drift discipline: with the default uniform book the charge arithmetic
 is float-for-float identical to the inline formula it replaced
 (``rate * busy_seconds / 3600.0`` with the same ``rate``), so default
-scenarios stay byte-identical.
+scenarios stay byte-identical.  A batch bills exactly what one scalar
+charge per delta would, in the same order (the sequential reference
+is pinned in the test suite).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.economics.pricing import ONDEMAND, PriceBook
 
@@ -61,62 +64,40 @@ class BillingMeter:
         return budget / self.rate_for(provider, now, tier)
 
     # ---------------------------------------------------------- billing
-    def charge(self, bot_id: str, provider: str, busy_seconds: float,
-               now: float = 0.0,
-               tier: str = ONDEMAND) -> Tuple[float, float]:
-        """Bill one worker's usage since the last tick.
-
-        Returns ``(billed, asked)``: ``asked`` is the priced amount,
-        ``billed`` what the order's remaining escrow could cover (the
-        credit system clamps, exactly as before) — the Scheduler stops
-        workers when ``billed < asked``.
-        """
-        if busy_seconds <= 0:
-            return 0.0, 0.0
-        asked = self.rate_for(provider, now, tier) * busy_seconds / 3600.0
-        billed = self.credits.bill(bot_id, asked)
-        if billed:
-            self.spent_by_provider[provider] = \
-                self.spent_by_provider.get(provider, 0.0) + billed
-        self.cpu_seconds_by_provider[provider] = \
-            self.cpu_seconds_by_provider.get(provider, 0.0) + busy_seconds
-        return billed, asked
-
     def charge_many(self, bot_id: str, provider: str,
                     busy_deltas: Sequence[float], now: float = 0.0,
                     tier: str = ONDEMAND) -> int:
-        """Bill one provider's workers for one tick as a batch.
+        """Bill one provider's workers their usage since the last
+        charge, as one batch in order.
 
         ``busy_deltas`` must all be positive (the Scheduler charges only
-        handles that computed since the last tick).  Byte-identical to
-        calling :meth:`charge` once per delta in order: within a tick
-        ``now`` is fixed, so the rate is resolved once and every
-        ``asked`` is the same float the scalar calls would price; the
-        escrow clamping and ledger appends run per delta inside
+        handles that computed since they were last billed).  Each delta
+        is priced at the provider's rate at ``now`` (``rate *
+        busy_seconds / 3600``) and billed through
         :meth:`CreditSystem.bill_many
-        <repro.core.credit.CreditSystem.bill_many>` (float-identical
-        to the repeated ``bill`` calls), and the per-provider totals
-        accumulate in the same addition order as the repeated dict
-        read-modify-writes.
+        <repro.core.credit.CreditSystem.bill_many>`, which clamps every
+        amount to the escrow left; the per-provider totals accumulate
+        in delta order.
 
         Returns the index of the first delta whose charge fell short
-        (``billed < asked - 1e-9`` — the Scheduler's exhaustion test),
+        (``billed < asked - 1e-9``, the Scheduler's exhaustion test),
         or ``-1`` when every delta was covered.  Deltas after a
-        shortfall are left uncharged, exactly as the historical loop
-        stopped billing once the run was being torn down.
+        shortfall are still billed (and clamped).
         """
         if not busy_deltas:
             return -1
         rate = self.rate_for(provider, now, tier)
-        billed_seq, fail = self.credits.bill_many(
-            bot_id, [rate * b / 3600.0 for b in busy_deltas],
-            shortfall_tol=1e-9)
+        asked = [rate * b / 3600.0 for b in busy_deltas]
+        billed_seq = self.credits.bill_many(bot_id, asked)
+        fail = -1
         spent = self.spent_by_provider.get(provider, 0.0)
         cpu = self.cpu_seconds_by_provider.get(provider, 0.0)
-        for billed, busy_seconds in zip(billed_seq, busy_deltas):
+        for i, billed in enumerate(billed_seq):
             if billed:
                 spent = spent + billed
-            cpu = cpu + busy_seconds
+            cpu = cpu + busy_deltas[i]
+            if fail < 0 and billed < asked[i] - 1e-9:
+                fail = i
         if spent:
             self.spent_by_provider[provider] = spent
         self.cpu_seconds_by_provider[provider] = cpu

@@ -24,6 +24,7 @@ accepts the same pairs as ``provider=rate`` text (:func:`parse_pricing`).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.core.credit import CREDITS_PER_CPU_HOUR
@@ -40,11 +41,17 @@ PRICE_TIERS = (ONDEMAND, SPOT)
 RateLike = Union[float, int, Callable[[float], float]]
 
 
+def _positive(value: float) -> bool:
+    """A usable rate: finite and > 0 (rejects 0, NaN and inf)."""
+    return 0.0 < value < math.inf
+
+
 def _resolve(rate: RateLike, now: float) -> float:
-    value = rate(now) if callable(rate) else float(rate)
-    if value < 0:
-        raise ValueError(f"price resolved to a negative rate: {value!r}")
-    return float(value)
+    value = float(rate(now) if callable(rate) else rate)
+    if not _positive(value):
+        raise ValueError(f"price resolved to a rate that is not finite "
+                         f"and positive: {value!r}")
+    return value
 
 
 class ProviderPricing:
@@ -58,10 +65,11 @@ class ProviderPricing:
 
     def __init__(self, ondemand: RateLike,
                  spot: Optional[RateLike] = None):
-        if not callable(ondemand) and float(ondemand) <= 0:
-            raise ValueError("ondemand rate must be positive")
-        if spot is not None and not callable(spot) and float(spot) <= 0:
-            raise ValueError("spot rate must be positive")
+        if not callable(ondemand) and not _positive(float(ondemand)):
+            raise ValueError("ondemand rate must be finite and positive")
+        if spot is not None and not callable(spot) \
+                and not _positive(float(spot)):
+            raise ValueError("spot rate must be finite and positive")
         self.ondemand = ondemand
         self.spot = spot
 
@@ -98,8 +106,8 @@ class PriceBook:
     def __init__(self, rates: Optional[Mapping[str, Union[
             ProviderPricing, RateLike]]] = None,
             default: float = CREDITS_PER_CPU_HOUR):
-        if default <= 0:
-            raise ValueError("default rate must be positive")
+        if not _positive(float(default)):
+            raise ValueError("default rate must be finite and positive")
         self.default = float(default)
         self._rates: Dict[str, ProviderPricing] = {}
         # static-rate fast path: (provider, tier) -> resolved rate,
@@ -212,9 +220,9 @@ def parse_pricing(text: str) -> Tuple[Tuple[str, float], ...]:
         except ValueError:
             raise ValueError(f"pricing entry {chunk!r}: rate "
                              f"{rate_text!r} is not a number") from None
-        if rate <= 0:
+        if not _positive(rate):
             raise ValueError(f"pricing entry {chunk!r}: rate must be "
-                             f"positive")
+                             f"finite and positive")
         pairs.append((name.strip(), rate))
     return tuple(pairs)
 

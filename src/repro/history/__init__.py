@@ -5,11 +5,12 @@ the Oracle's α-calibrated predictions (§3.4) improve with use.  This
 package owns that archive end to end:
 
 * :mod:`repro.history.records` — the :class:`ExecutionRecord` unit,
-  the ``tc(x)`` percent grid, environment keys, and the process-local
-  backends (in-memory, plain SQLite);
-* :mod:`repro.history.persistent` — the cross-run SQLite backend next
-  to the campaign store, salted with the code fingerprint so stale
-  history orphans itself like stale campaign results;
+  the ``tc(x)`` percent grid, environment keys, and the in-memory
+  backend;
+* :mod:`repro.history.persistent` — the SQLite backend (a file next
+  to the campaign store, or ``:memory:``), salted with the code
+  fingerprint so stale history orphans itself like stale campaign
+  results;
 * :mod:`repro.history.calibration` — ``fit_alpha`` and the ±20 %
   ``prediction_success`` criterion (pure statistics over history);
 * :mod:`repro.history.plane` — the :class:`HistoryPlane` query façade
@@ -41,7 +42,6 @@ from repro.history.records import (
     ExecutionRecord,
     HistoryStore,
     InMemoryHistoryStore,
-    SQLiteHistoryStore,
     env_key_of,
     split_env_key,
     tc_grid,
@@ -57,7 +57,6 @@ __all__ = [
     "HistoryStore",
     "InMemoryHistoryStore",
     "PersistentHistoryStore",
-    "SQLiteHistoryStore",
     "default_history_path",
     "env_key_of",
     "fit_alpha",

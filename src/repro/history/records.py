@@ -6,13 +6,12 @@ grid ``tc(x)`` for ``x = 1%..100%`` plus the task count, makespan and
 credits spent, under an *environment key* (BE-DCI, middleware, BoT
 category — ``"<dci>//<CATEGORY>"``).
 
-Two process-local backends live here — an in-memory store (the default
-for simulations) and a plain SQLite store (``:memory:`` or a file
-path).  The cross-run *persistent* backend with code-fingerprint
-salting is :class:`repro.history.persistent.PersistentHistoryStore`.
-All of them implement the same :class:`HistoryStore` interface, so the
-:class:`~repro.history.plane.HistoryPlane` (and through it the Oracle)
-does not care which one it reads.
+The in-memory store (the default for simulations) lives here; the
+SQLite backend, with code-fingerprint salting and torn-row handling, is
+:class:`repro.history.persistent.PersistentHistoryStore` (``:memory:``
+or a file path).  Both implement the same :class:`HistoryStore`
+interface, so the :class:`~repro.history.plane.HistoryPlane` (and
+through it the Oracle) does not care which one it reads.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Dict, List, Protocol
 import numpy as np
 
 __all__ = ["GRID_FRACTIONS", "ExecutionRecord", "HistoryStore",
-           "InMemoryHistoryStore", "SQLiteHistoryStore", "env_key_of",
+           "InMemoryHistoryStore", "env_key_of",
            "migrate_provider_column", "split_env_key", "tc_grid"]
 
 #: percent grid on which execution history archives tc(x)
@@ -147,63 +146,3 @@ class InMemoryHistoryStore:
 
     def __len__(self) -> int:
         return self._count
-
-
-class SQLiteHistoryStore:
-    """SQLite-backed archive (``:memory:`` or a file path)."""
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS executions (
-        id INTEGER PRIMARY KEY AUTOINCREMENT,
-        env_key TEXT NOT NULL,
-        n_tasks INTEGER NOT NULL,
-        makespan REAL NOT NULL,
-        grid TEXT NOT NULL,
-        credits_spent REAL NOT NULL DEFAULT 0.0,
-        provider TEXT NOT NULL DEFAULT ''
-    );
-    CREATE INDEX IF NOT EXISTS idx_env ON executions (env_key);
-    """
-
-    def __init__(self, path: str = ":memory:"):
-        self._conn = sqlite3.connect(path)
-        self._conn.executescript(self._SCHEMA)
-        migrate_provider_column(self._conn)
-        self._conn.commit()
-
-    def add(self, rec: ExecutionRecord) -> None:
-        self._conn.execute(
-            "INSERT INTO executions "
-            "(env_key, n_tasks, makespan, grid, credits_spent, provider) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (rec.env_key, rec.n_tasks, rec.makespan,
-             encode_grid(rec.grid), rec.credits_spent, rec.provider))
-        self._conn.commit()
-
-    def fetch(self, env_key: str) -> List[ExecutionRecord]:
-        rows = self._conn.execute(
-            "SELECT env_key, n_tasks, makespan, grid, credits_spent, "
-            "provider FROM executions WHERE env_key = ? ORDER BY id",
-            (env_key,)).fetchall()
-        return [ExecutionRecord(env, n, mk, decode_grid(grid_json),
-                                spent, provider)
-                for env, n, mk, grid_json, spent, provider in rows]
-
-    def fetch_rates(self, env_key: str) -> List[tuple]:
-        """(n_tasks, makespan) pairs without decoding the grids."""
-        rows = self._conn.execute(
-            "SELECT n_tasks, makespan FROM executions "
-            "WHERE env_key = ? ORDER BY id", (env_key,)).fetchall()
-        return [(int(n), float(mk)) for n, mk in rows]
-
-    def env_keys(self) -> List[str]:
-        rows = self._conn.execute(
-            "SELECT DISTINCT env_key FROM executions ORDER BY env_key")
-        return [r[0] for r in rows.fetchall()]
-
-    def __len__(self) -> int:
-        (n,) = self._conn.execute("SELECT COUNT(*) FROM executions").fetchone()
-        return int(n)
-
-    def close(self) -> None:
-        self._conn.close()

@@ -462,26 +462,15 @@ class DGServer:
             # Fire asynchronously so the agent sees a settled server.
             self.sim.schedule(0.0, cb)  # type: ignore[arg-type]
 
-    def cloud_busy_seconds(self, node: Node) -> float:
-        """Total CPU seconds this cloud worker spent computing here
-        (including the in-flight unit) — the §3.3 billing basis."""
-        total = self._cloud_busy_acc.get(node.node_id, 0.0)
-        since = self._cloud_busy_since.get(node.node_id)
-        if since is not None:
-            total += self.sim.now - since
-        return total
-
     def cloud_usage_of(self, node_ids, now: float):
-        """Bulk ``(busy_seconds, busy)`` per node id — one call per
-        billing tick instead of two lookups per handle.  Same per-id
-        arithmetic as :meth:`cloud_busy_seconds`/:meth:`is_busy`."""
+        """Bulk ``(busy_seconds, busy)`` per node id: total CPU seconds
+        each cloud worker spent computing here (including the in-flight
+        unit — the §3.3 billing basis) and whether it is busy now."""
         acc = self._cloud_busy_acc
         since_map = self._cloud_busy_since
         busy_map = self._busy
         # comprehensions over ``in``/subscript keep the per-id work in
-        # straight bytecode (no per-id method calls on the hot path);
-        # the in-flight add only happens when a since-mark exists, so
-        # the float result is the scalar accessor's exactly
+        # straight bytecode (no per-id method calls on the hot path)
         totals = [
             (acc[nid] if nid in acc else 0.0) + (now - since_map[nid])
             if nid in since_map

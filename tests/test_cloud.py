@@ -185,7 +185,7 @@ def test_coordinator_completes_tasks_and_merges():
     sim.run(until=1e6)
     assert done["t"] < 10.0
     assert coord.completions >= 3
-    assert coord.busy_seconds(cloud) > 0
+    assert coord.usage_of([cloud.node_id], sim.now)[0][0] > 0
 
 
 def test_coordinator_skips_tasks_completed_on_dci():

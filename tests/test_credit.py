@@ -92,6 +92,55 @@ def test_bill_negative_rejected():
         cs.bill("bot1", -5.0)
 
 
+@pytest.mark.parametrize("pooled", [False, True])
+def test_bill_nan_rejected_and_escrow_untouched(pooled):
+    cs = funded()
+    if pooled:
+        cs.open_pool("p", "alice", 100.0)
+        cs.join_pool("bot1", "p")
+    else:
+        cs.order("bot1", "alice", 100.0)
+    with pytest.raises(ValueError):
+        cs.bill("bot1", float("nan"))
+    assert cs.spent("bot1") == 0.0
+    # like one bill per amount: the amounts before the bad one stay
+    # billed, and the ledger agrees with the escrow
+    with pytest.raises(ValueError):
+        cs.bill_many("bot1", [1.0, float("nan"), 2.0])
+    assert cs.spent("bot1") == 1.0
+    assert cs.remaining_for("bot1") == 99.0
+    assert [e for e in cs.ledger if e[0] == "bill"] == [
+        ("bill", "bot1", 1.0)]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_non_finite_amounts_rejected(bad):
+    cs = funded()
+    with pytest.raises(ValueError):
+        cs.deposit("alice", bad)
+    with pytest.raises(ValueError):
+        cs.order("bot1", "alice", bad)
+    with pytest.raises(ValueError):
+        cs.open_pool("p", "alice", bad)
+    cs.open_pool("q", "alice", 10.0)
+    with pytest.raises(ValueError):
+        cs.fund_pool("q", "alice", bad)
+    cs.join_pool("bot2", "q")
+    if bad != float("inf"):     # an infinite allowance means no cap
+        with pytest.raises(ValueError):
+            cs.set_allowance("bot2", bad)
+    assert cs.balance("alice") == 990.0
+    assert cs.get_pool("q").provisioned == 10.0
+
+
+def test_bill_many_clamps_every_amount_after_a_shortfall():
+    cs = funded()
+    cs.order("bot1", "alice", 10.0)
+    assert cs.bill_many("bot1", [6.0, 6.0, 3.0]) == [6.0, 4.0, 0.0]
+    assert cs.spent("bot1") == 10.0
+    assert cs.bill_many("ghost", [1.0, 2.0]) == [0.0, 0.0]
+
+
 def test_close_refunds_remaining():
     cs = funded()
     cs.order("bot1", "alice", 100.0)

@@ -101,10 +101,9 @@ def test_meter_charges_at_provider_rate():
     credits = _funded_system()
     credits.order("bot", "user", 100.0)
     meter = BillingMeter(credits, PriceBook.from_pairs((("ec2", 36.0),)))
-    billed, asked = meter.charge("bot", "ec2", 3600.0)
-    assert asked == 36.0 and billed == 36.0
-    billed, asked = meter.charge("bot", "other", 3600.0)
-    assert asked == CREDITS_PER_CPU_HOUR
+    assert meter.charge_many("bot", "ec2", [3600.0]) == -1
+    assert meter.charge_many("bot", "other", [3600.0]) == -1
+    assert meter.spent_for("other") == CREDITS_PER_CPU_HOUR
     assert meter.spent_for("ec2") == 36.0
     assert meter.cpu_seconds_by_provider["ec2"] == 3600.0
     assert meter.total_spent() == credits.spent("bot")
@@ -114,8 +113,8 @@ def test_meter_clamps_at_escrow_like_credit_system():
     credits = _funded_system(provision=10.0)
     credits.order("bot", "user", 10.0)
     meter = BillingMeter(credits, PriceBook.from_pairs((("ec2", 36.0),)))
-    billed, asked = meter.charge("bot", "ec2", 3600.0)
-    assert asked == 36.0 and billed == 10.0
+    assert meter.charge_many("bot", "ec2", [3600.0]) == 0  # shortfall
+    assert meter.spent_for("ec2") == 10.0
     assert not meter.has_credits("bot")
     assert meter.remaining_for("bot") == 0.0
 
@@ -125,6 +124,31 @@ def test_meter_affordable_cpu_hours():
                          PriceBook.from_pairs((("ec2", 30.0),)))
     assert meter.affordable_cpu_hours("ec2", 60.0) == 2.0
     assert meter.affordable_cpu_hours("ec2", 0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [0.0, float("nan"), float("inf")])
+def test_rates_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError):
+        PriceBook(default=bad)
+    with pytest.raises(ValueError):
+        ProviderPricing(bad)
+    with pytest.raises(ValueError):
+        ProviderPricing(15.0, spot=bad)
+    with pytest.raises(ValueError):
+        parse_pricing(f"ec2={bad}")
+    # a time-varying quote is checked when it resolves
+    book = PriceBook({"ec2": lambda now: bad})
+    with pytest.raises(ValueError):
+        book.rate("ec2", now=0.0)
+    credits = _funded_system()
+    credits.order("bot", "user", 100.0)
+    meter = BillingMeter(credits, book)
+    with pytest.raises(ValueError):
+        meter.affordable_cpu_hours("ec2", 50.0)
+    with pytest.raises(ValueError):
+        meter.charge_many("bot", "ec2", [60.0])
+    assert credits.spent("bot") == 0.0
+    assert not [e for e in credits.ledger if e[0] == "bill"]
 
 
 # ------------------------------------------------- hypothesis invariants
@@ -149,7 +173,8 @@ def test_pooled_spend_never_exceeds_provision(rates, charges, provision):
         credits.join_pool(bot, "pool")
     meter = BillingMeter(credits, PriceBook(rates=rates))
     for i, provider, busy in charges:
-        meter.charge(bots[i], provider, busy)
+        if busy > 0:  # the scheduler charges positive deltas only
+            meter.charge_many(bots[i], provider, [busy])
     pool = credits.get_pool("pool")
     assert pool.spent <= pool.provisioned + 1e-9
     assert pool.remaining >= 0.0
@@ -165,7 +190,8 @@ def test_billing_additive_across_providers(rates, charges):
         credits.order(bot, "user", 1e8)
     meter = BillingMeter(credits, PriceBook(rates=rates))
     for i, provider, busy in charges:
-        meter.charge(bots[i], provider, busy)
+        if busy > 0:  # the scheduler charges positive deltas only
+            meter.charge_many(bots[i], provider, [busy])
     total_orders = sum(credits.spent(bot) for bot in bots)
     assert math.isclose(meter.total_spent(), total_orders,
                         rel_tol=0.0, abs_tol=1e-6)
@@ -193,8 +219,8 @@ def test_uniform_book_matches_fixed_rate_bit_identically(charges, rate,
         inline.order(bot, "user", provision / 4.0)
     meter = BillingMeter(metered, PriceBook.uniform(rate))
     for i, provider, busy in charges:
-        meter.charge(bots[i], provider, busy)
-        if busy > 0:  # the historical scheduler skipped <= 0 deltas
+        if busy > 0:  # the scheduler charges positive deltas only
+            meter.charge_many(bots[i], provider, [busy])
             inline.bill(bots[i], rate * busy / 3600.0)
     for bot in bots:
         assert metered.spent(bot) == inline.spent(bot)  # bit-identical

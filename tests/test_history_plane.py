@@ -1,8 +1,8 @@
 """History plane: backends, round-trips, queries, salting.
 
 The losslessness bar mirrors the campaign store's: a record fetched
-back from any backend (in-memory, plain SQLite, persistent salted
-SQLite) must be *exactly* the record archived — IEEE doubles included
+back from any backend (in-memory, persistent salted SQLite, under
+the code-fingerprint salt or an explicit one) must be *exactly* the record archived — IEEE doubles included
 — so an α fitted from persisted history equals the α fitted from the
 same records in memory, bit for bit.
 """
@@ -19,7 +19,6 @@ from repro.history import (
     HistoryPlane,
     InMemoryHistoryStore,
     PersistentHistoryStore,
-    SQLiteHistoryStore,
     env_key_of,
     fit_alpha,
     open_history_plane,
@@ -59,7 +58,7 @@ def _assert_identical(a: ExecutionRecord, b: ExecutionRecord) -> None:
 
 
 BACKENDS = [InMemoryHistoryStore,
-            lambda: SQLiteHistoryStore(":memory:"),
+            lambda: PersistentHistoryStore(":memory:"),   # code salt
             lambda: PersistentHistoryStore(":memory:", salt="s1")]
 
 
@@ -394,24 +393,32 @@ def test_admission_reads_per_provider_cost():
 
 
 def test_sqlite_migration_adds_provider_column(tmp_path):
+    """A persistent archive written before the provider dimension
+    (digest and salt columns, no provider column) migrates in place."""
     import sqlite3
     path = str(tmp_path / "old.sqlite")
     conn = sqlite3.connect(path)
     conn.executescript("""
         CREATE TABLE executions (
             id INTEGER PRIMARY KEY AUTOINCREMENT,
-            env_key TEXT NOT NULL, n_tasks INTEGER NOT NULL,
+            digest TEXT NOT NULL UNIQUE,
+            env_key TEXT NOT NULL, salt TEXT NOT NULL,
+            n_tasks INTEGER NOT NULL,
             makespan REAL NOT NULL, grid TEXT NOT NULL,
-            credits_spent REAL NOT NULL DEFAULT 0.0);
+            credits_spent REAL NOT NULL DEFAULT 0.0,
+            created_at REAL NOT NULL);
     """)
     conn.execute("INSERT INTO executions "
-                 "(env_key, n_tasks, makespan, grid, credits_spent) "
-                 "VALUES ('a//SMALL', 5, 10.0, '[10.0]', 2.5)")
+                 "(digest, env_key, salt, n_tasks, makespan, grid, "
+                 "credits_spent, created_at) "
+                 "VALUES ('d0', 'a//SMALL', 'test', 5, 10.0, '[10.0]', "
+                 "2.5, 0.0)")
     conn.commit()
     conn.close()
-    store = SQLiteHistoryStore(path)          # migrates in place
+    store = PersistentHistoryStore(path, salt="test")  # migrates in place
     (rec,) = store.fetch("a//SMALL")
     assert rec.provider == ""                 # legacy rows read back
+    assert rec.credits_spent == 2.5
     store.add(_rec("a//SMALL", 5, 11.0, 3.0, provider="ec2"))
     assert store.fetch("a//SMALL")[1].provider == "ec2"
 

@@ -1,18 +1,19 @@
-"""Transcript-equality pins for the columnar billing tick.
+"""Transcript-equality pins for the columnar billing path.
 
-The scheduler's vectorized ``_bill_and_manage`` and its batched
-teardown settlement must be byte-identical to the historical
-per-handle loop (``tests/oracles/billing.py``): same ``credits.bill``
-sequence, same floats in the credit ledger and the meter's
-per-provider dicts, same handle lifecycle decisions — under arbitrary
-busy trajectories, including escrow exhaustion mid-tick and the
-``stop_all`` settlement that follows a shortfall.  A hypothesis driver
-runs twin worlds through identical random trajectories and compares
-full state after every tick.
+The scheduler's vectorized ``_bill_and_manage``, its batched
+``stop_all`` settlement and its single-worker starvation stops must be
+byte-identical to the historical per-handle loop
+(``tests/oracles/billing.py``): same clamp sequence, same floats in the
+credit ledger and the meter's per-provider dicts, same handle lifecycle
+decisions — under arbitrary busy trajectories, including escrow
+exhaustion mid-tick (with handles after the shortfall clamped in the
+same batch) and mid-interval stops with unbilled usage.  A hypothesis
+test runs twin worlds through identical random trajectories and
+compares full state after every step.
 
 Also pinned here: ``BillingMeter.charge_many`` against sequential
-``charge`` calls, the ledger's column/attribute sync invariants, and
-the ``PriceBook`` static-rate cache semantics.
+scalar charges, the ledger's column/counter invariants, and the
+``PriceBook`` static-rate cache semantics.
 """
 
 from types import SimpleNamespace
@@ -32,7 +33,12 @@ from repro.core.strategies import (
 )
 from repro.economics.billing import BillingMeter
 from repro.economics.pricing import PriceBook
-from oracles.billing import bill_and_manage_scalar, stop_all_scalar
+from oracles.billing import (
+    bill_and_manage_scalar,
+    charge,
+    stop_all_scalar,
+    stop_handle,
+)
 
 
 # --------------------------------------------------------------- stubs
@@ -42,9 +48,6 @@ class _StubServer:
     def __init__(self):
         self.busy_sec = {}      # node_id -> accumulated busy seconds
         self.busy_now = set()   # node_ids currently computing
-
-    def cloud_busy_seconds(self, node):
-        return self.busy_sec.get(node.node_id, 0.0)
 
     def is_busy(self, node):
         return node.node_id in self.busy_now
@@ -101,26 +104,26 @@ def _build_world(n_handles, provision, greedy, idle_grace,
 
 
 def _handle_state(run):
-    return [(h.billed_busy, h.last_busy, h.ever_assigned, h.stopped)
-            for h in run.handles]
+    led = run.ledger
+    n = led.n
+    return list(zip(led.billed_busy[:n].tolist(),
+                    led.last_busy[:n].tolist(),
+                    led.ever_assigned[:n].tolist(),
+                    led.stopped[:n].tolist()))
 
 
-def _assert_ledger_synced(run):
-    """Counter/column consistency: columns mirror attrs exactly."""
+def _assert_ledger_consistent(run):
+    """Counter/index consistency with the columns."""
     led = run.ledger
     n = led.n
     assert n == len(run.handles)
-    assert led.active == sum(1 for h in run.handles if not h.stopped)
-    assert led.billed_busy[:n].tolist() == \
-        [h.billed_busy for h in run.handles]
-    assert led.last_busy[:n].tolist() == \
-        [h.last_busy for h in run.handles]
-    assert led.ever_assigned[:n].tolist() == \
-        [h.ever_assigned for h in run.handles]
-    assert led.stopped[:n].tolist() == [h.stopped for h in run.handles]
-    for h in run.handles:
-        if not h.stopped:
-            assert led.by_node[h.node.node_id] is h
+    assert led.active == int((~led.stopped[:n]).sum())
+    assert led.live_indices().tolist() == \
+        np.flatnonzero(~led.stopped[:n]).tolist()
+    for i, h in enumerate(run.handles):
+        assert h.ledger_index == i
+        assert led.node_ids[i] == h.node.node_id
+        assert led.by_node[h.node.node_id] is h
 
 
 # ----------------------------------------------- scan transcript equality
@@ -136,18 +139,20 @@ def _assert_twins_equal(vec, run_v, ref, run_r):
     assert run_v.stop_reason == run_r.stop_reason
     assert run_v.active_workers() == run_r.active_workers()
     assert vec._active_total == ref._active_total
-    _assert_ledger_synced(run_v)
-    _assert_ledger_synced(run_r)
+    _assert_ledger_consistent(run_v)
+    _assert_ledger_consistent(run_r)
 
 
 def test_vectorized_scan_matches_per_handle_reference():
-    """Twin worlds — columnar tick vs the per-handle oracle — through
-    random busy trajectories, ending with a completion teardown.  The
-    regimes that make charge/settlement interleaving observable must
-    actually be reached: ticks that exhaust the escrow, and the
-    ``stop_all`` settlement of handles left unbilled by the shortfall.
+    """Twin worlds — columnar billing vs the per-handle oracle — through
+    random busy trajectories with mid-interval starvation stops, ending
+    with a completion teardown.  The regimes that make charge ordering
+    observable must actually be reached: ticks that exhaust the escrow,
+    ticks whose batch clamps handles after the first shortfall, and
+    single-worker stops that settle nonzero unbilled usage.
     """
-    seen = {"exhausting_ticks": 0, "settled_after_shortfall": 0}
+    seen = {"exhausting_ticks": 0, "clamped_after_shortfall": 0,
+            "stops_with_usage": 0}
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
@@ -166,41 +171,60 @@ def test_vectorized_scan_matches_per_handle_reference():
                                          allowance)
         ref, run_r, srv_r = _build_world(n, provision, greedy, idle_grace,
                                          allowance)
-        # shortfall position of every batched charge of a tick
-        calls = []
-        charge_live = vec._charge_live
+        # (deltas charged, shortfall index) of every batch
+        batches = []
+        charge_many = vec.meter.charge_many
 
-        def spy(run, live, totals):
-            calls.append(charge_live(run, live, totals))
-            return calls[-1]
+        def spy(bot_id, provider, busy_deltas, now):
+            batches.append((len(busy_deltas),
+                            charge_many(bot_id, provider, busy_deltas, now)))
+            return batches[-1][1]
 
-        vec._charge_live = spy
+        vec.meter.charge_many = spy
+
+        def accrue(label):
+            incs = data.draw(st.lists(
+                st.floats(0.0, 90.0, allow_nan=False,
+                          allow_infinity=False),
+                min_size=n, max_size=n), label=label)
+            for srv in (srv_v, srv_r):
+                for i, inc in enumerate(incs):
+                    srv.busy_sec[i] = srv.busy_sec.get(i, 0.0) + inc
 
         n_ticks = data.draw(st.integers(1, 7), label="ticks")
         now = 0.0
         for _ in range(n_ticks):
-            now += 60.0
-            incs = data.draw(st.lists(
-                st.floats(0.0, 90.0, allow_nan=False,
-                          allow_infinity=False),
-                min_size=n, max_size=n))
-            busy = data.draw(st.lists(st.booleans(), min_size=n,
-                                      max_size=n))
-            for srv in (srv_v, srv_r):
-                srv.busy_now = {i for i, b in enumerate(busy) if b}
-                for i, inc in enumerate(incs):
-                    srv.busy_sec[i] = srv.busy_sec.get(i, 0.0) + inc
+            # mid-interval: some workers starve and stop, settling the
+            # usage they accrued since the last tick on their own
+            now += 30.0
             vec.sim.now = now
             ref.sim.now = now
-            calls.clear()
+            accrue("mid-interval usage")
+            for i in data.draw(st.lists(st.integers(0, n - 1),
+                                        max_size=2), label="starved"):
+                if (not run_v.ledger.stopped[i] and srv_v.busy_sec[i]
+                        > run_v.ledger.billed_busy[i]):
+                    seen["stops_with_usage"] += 1
+                vec._stop_by_node(run_v, run_v.handles[i].node)
+                stop_handle(ref, run_r, run_r.handles[i])
+                _assert_twins_equal(vec, run_v, ref, run_r)
+
+            now += 30.0
+            vec.sim.now = now
+            ref.sim.now = now
+            accrue("tick usage")
+            busy = data.draw(st.lists(st.booleans(), min_size=n,
+                                      max_size=n), label="busy")
+            for srv in (srv_v, srv_r):
+                srv.busy_now = {i for i, b in enumerate(busy) if b}
+            batches.clear()
             vec._bill_and_manage(run_v)
             bill_and_manage_scalar(ref, run_r)
-            if calls and calls[0] >= 0:
+            if batches and batches[0][1] >= 0:
                 seen["exhausting_ticks"] += 1
-                # the teardown batch clamped a handle the tick left
-                # unbilled
-                if len(calls) > 1 and calls[1] >= 0:
-                    seen["settled_after_shortfall"] += 1
+                size, fail = batches[0]
+                if fail < size - 1:
+                    seen["clamped_after_shortfall"] += 1
             _assert_twins_equal(vec, run_v, ref, run_r)
 
         # the BoT completes: usage accrued since the last tick is
@@ -217,7 +241,8 @@ def test_vectorized_scan_matches_per_handle_reference():
 
     check()
     assert seen["exhausting_ticks"] > 0
-    assert seen["settled_after_shortfall"] > 0
+    assert seen["clamped_after_shortfall"] > 0
+    assert seen["stops_with_usage"] > 0
 
 
 def test_exhausting_tick_stops_everything_like_the_oracle():
@@ -236,7 +261,7 @@ def test_exhausting_tick_stops_everything_like_the_oracle():
         worlds.append((sched, run))
     (vec, run_v), (ref, run_r) = worlds
     assert run_v.stop_reason == "credits exhausted"
-    assert all(h.stopped for h in run_v.handles)
+    assert run_v.ledger.stopped[:3].all()
     assert run_v.active_workers() == 0
     assert vec.credits.ledger == ref.credits.ledger
     assert [e for e in vec.credits.ledger if e[0] == "bill"] == [
@@ -249,7 +274,7 @@ def test_stop_by_node_uses_the_index():
                                     idle_grace=None)
     target = run.handles[2]
     sched._stop_by_node(run, target.node)
-    assert target.stopped
+    assert run.ledger.stopped[target.ledger_index]
     assert run.active_workers() == 3
     assert sched._active_total == 3
     # a node the run never launched is a no-op
@@ -261,6 +286,7 @@ def test_stop_by_node_uses_the_index():
 @given(data=st.data())
 @settings(max_examples=80, deadline=None)
 def test_charge_many_matches_sequential_charges(data):
+    """Every delta is billed, the ones after a shortfall clamped."""
     provision = data.draw(st.sampled_from([0.01, 0.5, 20.0, 1e5]))
     # the scheduler only charges handles that computed since the last
     # tick, so batches hold positive deltas only
@@ -279,10 +305,9 @@ def test_charge_many_matches_sequential_charges(data):
     seq, batch = fresh(), fresh()
     expected_fail = -1
     for i, d in enumerate(deltas):
-        billed, asked = seq.charge("b", "p", d, now=60.0)
-        if billed < asked - 1e-9:
+        billed, asked = charge(seq, "b", "p", d, now=60.0)
+        if billed < asked - 1e-9 and expected_fail < 0:
             expected_fail = i
-            break  # the scheduler stops billing here
     got_fail = batch.charge_many("b", "p", deltas, now=60.0)
     assert got_fail == expected_fail
     assert batch.credits.ledger == seq.credits.ledger

@@ -112,7 +112,7 @@ def test_flat_cloud_node_joins_and_leaves(kind):
     srv.add_observer(Obs())
     sim.run()
     assert srv.stats.cloud_assignments >= 1
-    assert srv.cloud_busy_seconds(cloud) > 0.0
+    assert srv.cloud_usage_of([cloud.node_id], sim.now)[0][0] > 0.0
     srv.remove_cloud_node(cloud)
     assert cloud not in srv.pool
 
@@ -128,7 +128,7 @@ def test_cloud_busy_seconds_tracks_inflight(kind):
     checked = {}
 
     def check():
-        checked["busy"] = srv.cloud_busy_seconds(cloud)
+        checked["busy"] = srv.cloud_usage_of([cloud.node_id], sim.now)[0][0]
     sim.at(100.0, check)
     sim.run(until=200.0)
     # the cloud worker may or may not have won the task against the

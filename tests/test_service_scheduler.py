@@ -104,7 +104,7 @@ def test_order_settled_and_refunded_on_completion():
     assert speq.credits.balance("u") == pytest.approx(1000.0 - order.spent)
     run = speq.run_for(bot.bot_id)
     assert run.finished
-    assert all(h.stopped for h in run.handles)
+    assert run.ledger.stopped[:run.ledger.n].all()
 
 
 def test_no_credits_no_cloud():
@@ -128,7 +128,8 @@ def test_billing_is_busy_time_at_fixed_rate():
     srv.submit_bot(bot, at=0.0)
     run_to_completion(sim, srv, bot.bot_id)
     run = speq.run_for(bot.bot_id)
-    busy = sum(srv.cloud_busy_seconds(h.node) for h in run.handles)
+    node_ids = run.ledger.node_ids[:run.ledger.n].tolist()
+    busy = sum(srv.cloud_usage_of(node_ids, sim.now)[0])
     expected = busy / 3600.0 * CREDITS_PER_CPU_HOUR
     assert speq.credits.spent(bot.bot_id) == pytest.approx(expected,
                                                            rel=0.01)
@@ -167,9 +168,9 @@ def test_greedy_releases_never_assigned_workers():
     run = speq.run_for(bot.bot_id)
     assert run.workers_launched > 4  # greedy over-provisioned
     # but the extra ones were stopped without ever computing
-    idle_stopped = [h for h in run.handles
-                    if h.stopped and not h.ever_assigned]
-    assert idle_stopped
+    led = run.ledger
+    idle_stopped = led.stopped[:led.n] & ~led.ever_assigned[:led.n]
+    assert idle_stopped.any()
 
 
 def test_flat_deployment_joins_pool():
