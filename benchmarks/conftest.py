@@ -64,18 +64,28 @@ def pytest_terminal_summary(terminalreporter):
         if "src_loc" in record:
             terminalreporter.write_line(
                 f"src/ size: {record['src_loc']:,} lines of Python")
+        # cycle collector in the warm reference execution
+        warm_gc = record.get("collector")
+        if warm_gc:
+            terminalreporter.write_line(
+                f"collector (warm reference run): "
+                f"{warm_gc['gc_collections']:,} collections, "
+                f"{warm_gc['gc_pause_seconds'] * 1e3:,.1f}ms paused")
         sweep = record.get("scale_sweep")
         if sweep:
             terminalreporter.write_line("engine scale sweep:")
             terminalreporter.write_line(
                 f"  {'nodes':>8}  {'events':>10}  {'events/s':>10}"
-                f"  {'wall s':>8}  {'peak RSS MB':>11}")
+                f"  {'wall s':>8}  {'peak RSS MB':>11}"
+                f"  {'gc colls':>8}  {'gc ms':>7}")
             for point in sweep:
                 terminalreporter.write_line(
                     f"  {point['nodes']:>8,}  {point['events']:>10,}"
                     f"  {point['events_per_second']:>10,.0f}"
                     f"  {point['wall_seconds']:>8.2f}"
-                    f"  {point['peak_rss_kb'] / 1024:>11,.0f}")
+                    f"  {point['peak_rss_kb'] / 1024:>11,.0f}"
+                    f"  {point.get('gc_collections', 0):>8,}"
+                    f"  {point.get('gc_pause_seconds', 0.0) * 1e3:>7.1f}")
         # Algorithm 2 tick cost of the profiled 10^5-node run
         sched = record.get("scheduler")
         if sched and "charge_batches" in sched:

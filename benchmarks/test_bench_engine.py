@@ -14,7 +14,11 @@ perf record CI uploads as an artifact:
   realization through the shared on-disk :class:`~repro.experiments.
   trace_store.TraceStore` (warm must stay at least 5x faster);
 * ``src_loc``, the total line count of ``src/**/*.py`` — the size bar
-  of the ROADMAP's one-path-per-layer item.
+  of the ROADMAP's one-path-per-layer item;
+* cycle-collector collections and pause seconds (``gc.callbacks``) of
+  the warm reference run and of each sweep point.  Drains run with the
+  collector paused, so what is left is world assembly and result
+  shaping.
 """
 
 import cProfile
@@ -97,6 +101,35 @@ def _src_loc() -> int:
                for path in src.rglob("*.py"))
 
 
+class _CollectorProbe:
+    """Counts cycle-collector collections and their pause seconds
+    inside a ``with`` block, through a ``gc.callbacks`` hook."""
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.pause_seconds = 0.0
+        self._start = None
+
+    def _callback(self, phase: str, _info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        elif self._start is not None:
+            self.collections += 1
+            self.pause_seconds += time.perf_counter() - self._start
+            self._start = None
+
+    def __enter__(self) -> "_CollectorProbe":
+        gc.callbacks.append(self._callback)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        gc.callbacks.remove(self._callback)
+
+    def record(self) -> dict:
+        return {"gc_collections": self.collections,
+                "gc_pause_seconds": round(self.pause_seconds, 4)}
+
+
 def _merge_payload(section: dict) -> None:
     """Read-modify-write the bench JSON (tests fill it in sequence)."""
     payload = {"bench": "engine"}
@@ -143,11 +176,16 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
     res_cold = run_execution(cfg)   # pays trace realization / L1 fill
     cold_eps = res_cold.events / res_cold.wall_seconds
     warm_walls = []
+    warm_gc = []
     for _ in range(WARM_ROUNDS):
-        res = run_execution(cfg)
+        with _CollectorProbe() as probe:
+            res = run_execution(cfg)
         assert res.events == res_cold.events  # same seed, same trajectory
         warm_walls.append(res.wall_seconds)
+        warm_gc.append(probe.record())
     warm_wall = min(warm_walls)
+    # the collector record of the round the throughput is taken from
+    warm_collector = warm_gc[warm_walls.index(warm_wall)]
     warm_eps = res_cold.events / warm_wall
     speedup_vs_seed = warm_eps / PR6_EVENTS_PER_SEC
 
@@ -175,6 +213,7 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
         "events_per_second": round(warm_eps, 1),
         "cold_run_wall_seconds": round(res_cold.wall_seconds, 3),
         "cold_events_per_second": round(cold_eps, 1),
+        "collector": warm_collector,
         "seed_events_per_second": PR6_EVENTS_PER_SEC,
         "speedup_vs_seed": round(speedup_vs_seed, 2),
         "peak_rss_kb": _peak_rss_kb(),
@@ -195,6 +234,9 @@ def test_engine_throughput_and_trace_store(tmp_path, scale):
           f"recorded seed, cold {cold_eps:,.0f}); trace store warm-up "
           f"{store_speedup:.1f}x (cold {cold:.2f}s, "
           f"warm {store_warm * 1e3:.0f}ms)")
+    print(f"[engine] collector in the warm run: "
+          f"{warm_collector['gc_collections']} collections, "
+          f"{warm_collector['gc_pause_seconds'] * 1e3:.1f}ms paused")
 
     # regression gates: warm events/sec must clear GATE_MULTIPLIER x
     # the PR 6 seed, and a warm trace store must stay >= 5x cold
@@ -229,7 +271,8 @@ def _scale_sweep_and_profile(scale):
     for total in SCALE_NODES:
         cfg = _federated_config(total)
         t0 = time.perf_counter()
-        res = run_federated(cfg)
+        with _CollectorProbe() as probe:
+            res = run_federated(cfg)
         wall = time.perf_counter() - t0
         sweep.append({
             "nodes": total,
@@ -237,10 +280,12 @@ def _scale_sweep_and_profile(scale):
             "wall_seconds": round(res.wall_seconds, 3),
             "events_per_second": round(res.events / res.wall_seconds, 1),
             "peak_rss_kb": _peak_rss_kb(),
+            **probe.record(),
         })
         print(f"[scale] {total:>7,} nodes: {res.events:,} events, "
               f"{res.events / res.wall_seconds:,.0f} events/s "
-              f"(outer wall {wall:.2f}s, rss {_peak_rss_kb():,} KB)")
+              f"(outer wall {wall:.2f}s, rss {_peak_rss_kb():,} KB, "
+              f"{probe.collections} gc collections)")
 
     # profile the 10^5-node scenario end to end (world assembly + run);
     # the scheduler and dispatch counters below are read off this

@@ -52,6 +52,7 @@ paper algorithms.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
@@ -78,7 +79,12 @@ from repro.core.strategies import (
     StrategyCombo,
 )
 from repro.middleware.base import DGServer
-from repro.simulator.engine import PRIORITY_MONITOR, Event, Simulation
+from repro.simulator.engine import (
+    PRIORITY_MONITOR,
+    Event,
+    Simulation,
+    weak_callback,
+)
 
 __all__ = ["SchedulerConfig", "QoSRun", "SpeQuloSScheduler",
            "CloudArbiter", "ARBITRATION_POLICIES"]
@@ -318,6 +324,12 @@ class SpeQuloSScheduler:
         # DGServer object identity (runs are never detached)
         self._active_total = 0
         self._active_by_server: Dict[DGServer, int] = {}
+        # starvation reports from cloud agents and coordinators reach
+        # the scheduler weakly: the run owns them, and a strong edge
+        # back would make every world a reference cycle
+        self._agent_starved_cb = weak_callback(self._agent_starved)
+        self._coordinator_starved_cb = weak_callback(
+            self._coordinator_starved)
 
     def active_worker_total(self) -> int:
         """Concurrently active Cloud workers across every managed run."""
@@ -401,8 +413,7 @@ class SpeQuloSScheduler:
         if deploy == DEPLOY_CLOUD_DUP:
             run.coordinator = CloudDuplicationCoordinator(
                 self.sim, run.server, run.bot_id,
-                on_starved=lambda coord, node, r=run:
-                    self._stop_by_node(r, node))
+                on_starved=self._coordinator_starved_cb)
             run.coordinator.sync()
         for _ in range(n):
             try:
@@ -415,8 +426,7 @@ class SpeQuloSScheduler:
             elif deploy == DEPLOY_RESCHEDULE:
                 agent = RescheduleAgent(
                     self.sim, run.server, inst.node,
-                    on_starved=lambda a, r=run, h=handle:
-                        self._stop_handle(r, h))
+                    on_starved=partial(self._agent_starved_cb, run.bot_id))
                 handle.agent = agent
                 agent.start()
             else:
@@ -556,6 +566,13 @@ class SpeQuloSScheduler:
         if handle is not None:
             self._stop_handle(run, handle)
 
+    def _agent_starved(self, bot_id: str, agent: RescheduleAgent) -> None:
+        self._stop_by_node(self.runs[bot_id], agent.node)
+
+    def _coordinator_starved(self, coord: CloudDuplicationCoordinator,
+                             node) -> None:
+        self._stop_by_node(self.runs[coord.bot_id], node)
+
     def stop_all(self, run: QoSRun, reason: str) -> None:
         """Stop every Cloud worker of the run (exhaustion/completion):
         settle them all in one batch, then release them in order."""
@@ -599,3 +616,6 @@ class _CompletionWatcher:
     def on_bot_completed(self, bot_id: str, t: float) -> None:
         if bot_id == self.run.bot_id:
             self.scheduler.finalize(self.run)
+            # finalized for good: stop listening (and stop pinning the
+            # scheduler from the server for the rest of the scenario)
+            self.run.server.remove_observer(self)

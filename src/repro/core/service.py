@@ -38,7 +38,7 @@ from repro.core.scheduler import (
 from repro.core.strategies import StrategyCombo
 from repro.history import env_key_of
 from repro.middleware.base import DGServer
-from repro.simulator.engine import Simulation
+from repro.simulator.engine import Simulation, weak_callback
 from repro.workload.bot import BagOfTasks
 
 __all__ = ["SpeQuloS", "DCIBinding"]
@@ -68,7 +68,8 @@ class SpeQuloS:
         self.credits = credits or CreditSystem()
         self.scheduler = SpeQuloSScheduler(
             sim, self.info, self.credits, scheduler_config,
-            on_run_finished=self._archive_run, arbiter=arbiter,
+            on_run_finished=weak_callback(self._archive_run),
+            arbiter=arbiter,
             pricebook=pricebook)
         self.dcis: Dict[str, DCIBinding] = {}
         self._bot_dci: Dict[str, str] = {}

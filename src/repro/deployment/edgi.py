@@ -126,9 +126,11 @@ def run_edgi(cfg: EDGIConfig) -> Dict[str, int]:
     dep = EDGIDeployment(seed=cfg.seed, lal_nodes=cfg.lal_nodes,
                          lri_nodes=cfg.lri_nodes,
                          horizon_days=cfg.horizon_days)
-    return dep.run(duration_days=cfg.duration_days, n_bots=cfg.n_bots,
-                   bot_size=cfg.bot_size, egi_fraction=cfg.egi_fraction,
-                   qos_fraction=cfg.qos_fraction)
+    row = dep.run(duration_days=cfg.duration_days, n_bots=cfg.n_bots,
+                  bot_size=cfg.bot_size, egi_fraction=cfg.egi_fraction,
+                  qos_fraction=cfg.qos_fraction)
+    dep.harness.close()
+    return row
 
 
 class EDGIDeployment:

@@ -293,6 +293,22 @@ ASSEMBLY_CACHE = AssemblyCache()
 
 
 # ---------------------------------------------------------------------------
+class _StopWhenAllDone:
+    """Server observer that stops the simulation once every watched BoT
+    has completed (one instance shared by all of a scenario's servers)."""
+
+    __slots__ = ("sim", "pending")
+
+    def __init__(self, sim: Simulation, bot_ids: Iterable[str]):
+        self.sim = sim
+        self.pending = set(bot_ids)
+
+    def on_bot_completed(self, bot_id: str, t: float) -> None:
+        self.pending.discard(bot_id)
+        if not self.pending:
+            self.sim.stop()
+
+
 @dataclass
 class HarnessDCI:
     """One assembled BE-DCI: server over a node pool + supporting cloud.
@@ -477,19 +493,10 @@ class ScenarioHarness:
         loop has exited — transcript-invisible by construction, since
         post-stop events never execute.
         """
-        pending = set(bot_ids)
-        sim = self.sim
-
-        class _StopWhenAllDone:
-            def on_bot_completed(self, bot_id: str, t: float) -> None:
-                pending.discard(bot_id)
-                if not pending:
-                    sim.stop()
-
-        watcher = _StopWhenAllDone()
+        watcher = _StopWhenAllDone(self.sim, bot_ids)
         for dci in self.dcis.values():
             dci.server.add_observer(watcher)
-        sim.add_stop_hook(self._teardown_servers)
+        self.sim.add_stop_hook(self._teardown_servers)
 
     def _teardown_servers(self) -> None:
         for dci in self.dcis.values():
@@ -497,6 +504,16 @@ class ScenarioHarness:
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
+
+    def close(self) -> None:
+        """Release the finished world once results are collected: close
+        the engine (queued events, batch table, stop hooks) and every
+        server (observer lists, idle callbacks), so the world frees
+        itself by reference counting.  Accounting probes that read
+        servers, drivers and runs keep working afterwards."""
+        self.sim.close()
+        for dci in self.dcis.values():
+            dci.server.close()
 
     # ------------------------------------------------------------------
     # accounting probes

@@ -185,6 +185,7 @@ def run_execution(cfg: ExecutionConfig,
         cloud_hours = run.driver.total_cpu_hours()
         cloud_completions = (run.coordinator.completions
                              if run.coordinator is not None else 0)
+    harness.close()
 
     from repro.core.info import tc_grid as _grid
     return ExecutionResult(
@@ -395,13 +396,23 @@ def _run_tenant_stream(cfg: ScenarioConfig,
     goldens pin.
     """
     wall0 = time.perf_counter()
-    horizon = cfg.horizon
+    plane = open_history_plane(cfg.history)
+    try:
+        return _simulate_tenant_stream(cfg, streams, plane, wall0)
+    finally:
+        # a persistent archive's connection is a reference cycle that
+        # only the cycle collector would otherwise free
+        plane.close()
 
+
+def _simulate_tenant_stream(cfg: ScenarioConfig,
+                            streams: Sequence[Tuple[int, ...]],
+                            plane, wall0: float) -> FederatedResult:
+    horizon = cfg.horizon
     names = cfg.dci_names()
     dci_caps = {name: spec.worker_cap
                 for name, spec in zip(names, cfg.dcis)
                 if spec.worker_cap is not None}
-    plane = open_history_plane(cfg.history)
     controller = (AdmissionController(plane, mode=cfg.admission)
                   if cfg.admission is not None else None)
     arbiter = CloudArbiter(cfg.policy,
@@ -481,6 +492,7 @@ def _run_tenant_stream(cfg: ScenarioConfig,
             price_per_cpu_hour=book.rate(spec.provider, 0.0)))
 
     spent, _refund = service.credits.close_pool(pool_id)
+    harness.close()
     return FederatedResult(
         config=cfg, tenants=outcomes, dcis=dci_outcomes,
         pool_provisioned=provision, pool_spent=spent,

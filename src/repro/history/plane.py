@@ -93,6 +93,13 @@ class HistoryPlane:
     def __len__(self) -> int:
         return len(self.backend)
 
+    def close(self) -> None:
+        """Close the backend if it holds a resource (a persistent
+        archive's database connection); in-memory planes need nothing."""
+        close = getattr(self.backend, "close", None)
+        if close is not None:
+            close()
+
     def archive(self, env_key: str, monitor,
                 credits_spent: float = 0.0,
                 provider: str = "") -> ExecutionRecord:

@@ -184,6 +184,9 @@ class DGServer:
         self.task_cols = TaskColumns()
         self.pending: Deque = deque()
         self.observers: List[ServerObserver] = []
+        #: per observer (parallel to ``observers``): its methods bound
+        #: once in add_observer, by event name
+        self._obs_bound: List[Dict[str, object]] = []
         #: event name -> bound observer methods (built in add_observer,
         #: so _emit never pays a getattr per event per observer)
         self._obs_methods: Dict[str, List] = {
@@ -432,6 +435,19 @@ class DGServer:
             self._wakeup.cancel()
             self._wakeup = None
 
+    def close(self) -> None:
+        """End-of-scenario release, once results are collected: tear
+        down the wake-up timer, every observer subscription and every
+        idle callback.  Those are the server's references into the
+        world that observes it (monitors, watchers, cloud agents), so
+        with the engine closed too the world frees itself by reference
+        counting.  Idempotent."""
+        self.teardown()
+        self.observers = []
+        self._obs_bound = []
+        self._obs_methods = {name: [] for name in self.OBSERVER_EVENTS}
+        self._idle_callbacks.clear()
+
     # ------------------------------------------------------------------
     # completion bookkeeping (shared by all paths)
     # ------------------------------------------------------------------
@@ -567,10 +583,30 @@ class DGServer:
         """Subscribe; the observer's methods are bound once, here —
         methods added to the object afterwards are not seen."""
         self.observers.append(obs)
+        bound = {}
         for name, lst in self._obs_methods.items():
             fn = getattr(obs, name, None)
             if fn is not None:
                 lst.append(fn)
+                bound[name] = fn
+        self._obs_bound.append(bound)
+
+    def remove_observer(self, obs: ServerObserver) -> None:
+        """Unsubscribe ``obs`` (no-op if it is not subscribed).
+
+        Safe from inside an observer callback: the method lists are
+        rebuilt, not edited, so an :meth:`_emit` in progress finishes
+        over the list it started with and skips no other observer; the
+        removal takes effect from the next event.
+        """
+        keep = [i for i, o in enumerate(self.observers) if o is not obs]
+        if len(keep) == len(self.observers):
+            return
+        self.observers = [self.observers[i] for i in keep]
+        self._obs_bound = [self._obs_bound[i] for i in keep]
+        self._obs_methods = {
+            name: [b[name] for b in self._obs_bound if name in b]
+            for name in self.OBSERVER_EVENTS}
 
     def _emit(self, method: str, *args) -> None:
         for fn in self._obs_methods[method]:

@@ -58,19 +58,32 @@ front-to-back:
   sees the whole run as already consumed — handlers that introspect
   the queue should not be batch-registered.
 
-There is deliberately no wall-clock access and no global state: one
-:class:`Simulation` per execution, so campaigns can run executions in
-parallel processes without interference.
+Collector-free drains: a drain creates no cyclic garbage (a fired or
+cancelled :class:`Event` drops its callback and arguments, so an event
+kept by the object it calls back — a replica's timeout — cannot close a
+cycle), so the cycle collector would only walk the live world and free
+nothing.  :meth:`Simulation.run` therefore pauses the process's cycle
+collector for the drain and restores the caller's setting on exit.
+:meth:`Simulation.close` drops everything the engine holds once the
+results are collected, so a finished world dies by reference counting
+instead of waiting for the next collection.
+
+There is deliberately no wall-clock access, and the collector pause is
+the only process state a drain touches: one :class:`Simulation` per
+execution, so campaigns can run executions in parallel processes
+without interference.
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import math
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-__all__ = ["Event", "Simulation", "SimulationError"]
+__all__ = ["Event", "Simulation", "SimulationError", "weak_callback"]
 
 
 class SimulationError(RuntimeError):
@@ -82,7 +95,9 @@ class Event:
 
     Events are created through :meth:`Simulation.schedule` /
     :meth:`Simulation.at`.  Keeping a reference allows cancellation;
-    dropping it is fine (the engine owns the heap entry).
+    dropping it is fine (the engine owns the heap entry).  Once fired
+    or cancelled an event drops its callback and arguments (``fn`` and
+    ``args`` become None), so a kept event never pins what it called.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled")
@@ -97,13 +112,37 @@ class Event:
         self.cancelled = False
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Idempotent."""
+        """Prevent the callback from running.  Idempotent.
+
+        Drops the callback and its arguments, like a fired event does.
+        """
         self.cancelled = True
+        self.fn = self.args = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "pending"
+        state = ("cancelled" if self.cancelled
+                 else "pending" if self.fn is not None else "fired")
         name = getattr(self.fn, "__qualname__", repr(self.fn))
         return f"<Event t={self.time:.3f} p={self.priority} {name} {state}>"
+
+
+def weak_callback(method: Callable[..., Any]) -> Callable[..., Any]:
+    """``method`` (a bound method) as a callback that does not keep its
+    object alive; once the object is gone, calls do nothing.
+
+    For the back-edges from a world's parts to their owner (a cloud
+    agent reporting starvation to its scheduler, a scheduler reporting
+    a finished run to its service): a strong back-edge would make the
+    whole world one reference cycle that only the cycle collector can
+    free.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args: Any) -> Any:
+        fn = ref()
+        return None if fn is None else fn(*args)
+
+    return call
 
 
 #: Default priority for ordinary events.
@@ -266,12 +305,19 @@ class Simulation:
         ``until`` (absolute time) bounds this call; the overall
         ``horizon`` bounds the simulation.  Returns the clock value when
         the run stops.  May be called repeatedly to advance in phases.
+
+        The process's cycle collector is paused for the drain (a drain
+        makes no cyclic garbage, so collections would only walk the live
+        world) and put back as the caller had it when the call returns,
+        raises or stops — a caller's own ``gc.disable()`` stays in force.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
         limit = self.horizon if until is None else min(float(until), self.horizon)
         self._running = True
         self._stopped = False
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             heap = self._heap
             while heap:
@@ -302,6 +348,29 @@ class Simulation:
         finally:
             self._running = False
             self._active = None
+            if gc_was_enabled:
+                gc.enable()
+
+    def close(self) -> None:
+        """Release the finished world: cancel every queued event (which
+        drops its callback) and clear the heap, the open buckets, the
+        batch table and the stop hooks.
+
+        Those are the engine's references into the world it drove (bound
+        methods of servers, schedulers and harnesses that in turn hold
+        the simulation), so once the caller has collected its results
+        and calls this, the world frees itself by reference counting.
+        The clock and ``events_processed`` stay readable; idempotent.
+        """
+        if self._running:
+            raise SimulationError("close() called from inside run()")
+        for _t, _p, _s, bucket in self._heap:
+            for ev in bucket.events:
+                ev.cancel()
+        self._heap.clear()
+        self._open.clear()
+        self._batch.clear()
+        self._stop_hooks.clear()
 
     def _drain(self, bucket: _Bucket, heap: list) -> None:
         """Run one bucket's events front-to-back (seq order).
@@ -357,9 +426,12 @@ class Simulation:
                         self._active_idx = j
                         self.now = time
                         self.events_processed += len(run)
+                        argslist = [e.args for e in run]
+                        for e in run:
+                            e.fn = e.args = None
                         self._in_batch = True
                         try:
-                            batch_fn([e.args for e in run])
+                            batch_fn(argslist)
                         finally:
                             self._in_batch = False
                         for e in run:
@@ -375,7 +447,9 @@ class Simulation:
             self._active_idx = i
             self.now = ev.time
             self.events_processed += 1
-            fn(*ev.args)
+            args = ev.args
+            ev.fn = ev.args = None
+            fn(*args)
             if self._stopped:
                 self._push_remainder(events, i)
                 break

@@ -156,6 +156,51 @@ def test_idle_callback_fired_on_node_free(kind):
 
 
 @pytest.mark.parametrize("kind", MIDDLEWARE_NAMES)
+def test_remove_observer_inside_callback_skips_no_observer(kind):
+    """An observer unsubscribing (itself, or a later one) from inside
+    on_bot_completed must not make the running fan-out skip anyone;
+    the removal counts from the next event on."""
+    sim, srv = build(kind, n_nodes=6)
+    srv.submit_bot(bot_of(2, bot_id="alpha"))
+    srv.submit_bot(bot_of(2, nops=5000.0, bot_id="beta"))
+    seen = []
+
+    class Obs:
+        def __init__(self, name, drop=()):
+            self.name = name
+            self.drop = drop
+
+        def on_bot_completed(self, bid, t):
+            seen.append((bid, self.name))
+            for obs in self.drop:
+                srv.remove_observer(obs)
+
+    last = Obs("last")
+    middle = Obs("middle")
+    first = Obs("first")
+    first.drop = (first, last)
+    for obs in (first, middle, last):
+        srv.add_observer(obs)
+    sim.run()
+    assert seen == [("alpha", "first"), ("alpha", "middle"),
+                    ("alpha", "last"), ("beta", "middle")]
+    assert srv.observers == [middle]
+    srv.remove_observer(first)  # not subscribed any more: a no-op
+    assert srv.observers == [middle]
+
+
+@pytest.mark.parametrize("kind", MIDDLEWARE_NAMES)
+def test_close_drops_observers_and_idle_callbacks(kind):
+    sim, srv = build(kind)
+    srv.add_observer(type("Obs", (), {"on_task_arrived":
+                                      lambda self, g, t: None})())
+    srv.register_idle_callback(stable(99), lambda: None)
+    srv.close()
+    assert srv.observers == [] and srv._idle_callbacks == {}
+    assert all(not fns for fns in srv._obs_methods.values())
+
+
+@pytest.mark.parametrize("kind", MIDDLEWARE_NAMES)
 def test_two_bots_complete_independently(kind):
     sim, srv = build(kind, n_nodes=6)
     srv.submit_bot(bot_of(3, bot_id="alpha"))

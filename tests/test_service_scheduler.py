@@ -107,6 +107,19 @@ def test_order_settled_and_refunded_on_completion():
     assert run.ledger.stopped[:run.ledger.n].all()
 
 
+def test_completion_watcher_unsubscribes_once_finalized():
+    sim, srv, speq, _ = make_stack(slow_nodes(10, power=10.0))
+    bot = bot_of(10, nops=100_000.0, wall_clock=10_000.0)
+    speq.register_qos(bot, "dci")
+    watchers = [o for o in srv.observers
+                if type(o).__name__ == "_CompletionWatcher"]
+    assert len(watchers) == 1
+    srv.submit_bot(bot, at=0.0)
+    run_to_completion(sim, srv, bot.bot_id)
+    assert speq.run_for(bot.bot_id).finished
+    assert watchers[0] not in srv.observers
+
+
 def test_no_credits_no_cloud():
     nodes = slow_nodes(5, power=10.0)
     sim, srv, speq, driver = make_stack(nodes)
