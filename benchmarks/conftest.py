@@ -64,6 +64,14 @@ def pytest_terminal_summary(terminalreporter):
         if "src_loc" in record:
             terminalreporter.write_line(
                 f"src/ size: {record['src_loc']:,} lines of Python")
+        # cold vs warm columns_template through a fresh trace store
+        traces = record.get("trace_store")
+        if traces:
+            terminalreporter.write_line(
+                f"trace store ({traces['nodes']:,}-host seti template): "
+                f"cold {traces['cold_seconds']:.3f}s, warm "
+                f"{traces['warm_seconds_mean'] * 1e3:.1f}ms, "
+                f"{traces['speedup']:.1f}x (gate >= 5x)")
         # cycle collector in the warm reference execution
         warm_gc = record.get("collector")
         if warm_gc:

@@ -143,12 +143,14 @@ def _merge_payload(section: dict) -> None:
 
 
 def _materialize_fresh(seed: int) -> float:
-    """Wall seconds for a fresh L1 (new shard) to realize the trace."""
+    """Wall seconds for a fresh L1 (new shard) to obtain the trace's
+    columns template — the path every execution's world assembly
+    takes."""
     cache = TraceCache()
     t0 = time.perf_counter()
-    nodes = cache.materialize("seti", seed, SETI_CAP, SETI_HORIZON)
+    template = cache.columns_template("seti", seed, SETI_CAP, SETI_HORIZON)
     wall = time.perf_counter() - t0
-    assert len(nodes) == SETI_CAP
+    assert len(template) == SETI_CAP
     return wall
 
 

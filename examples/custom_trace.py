@@ -60,9 +60,9 @@ def fabricate_office_trace(n_nodes=40, n_days=5, seed=1) -> str:
 
 def main() -> None:
     text = fabricate_office_trace()
-    nodes = load_trace(io.StringIO(text))
-    stats = measure_trace(nodes, 5 * DAY, step=600.0)
-    print(f"loaded {len(nodes)} nodes from the FTA-format trace")
+    trace = NodeColumns.from_nodes(load_trace(io.StringIO(text)))
+    stats = measure_trace(trace, 5 * DAY, step=600.0)
+    print(f"loaded {len(trace)} nodes from the FTA-format trace")
     print(f"  mean available nodes : {stats.mean_nodes:.1f}")
     print(f"  availability medians : {stats.avail_quartiles[1]:.0f} s")
     print(f"  node power           : {stats.power_mean:.0f} ± "
@@ -70,7 +70,7 @@ def main() -> None:
 
     def run(with_speq: bool) -> tuple:
         sim = Simulation(horizon=30 * DAY)
-        pool = NodePool(NodeColumns.from_nodes(nodes),
+        pool = NodePool(trace.fresh(),
                         rng=np.random.default_rng(7))
         srv = XWHepServer(sim, pool)
         # 150 one-hour tasks submitted Monday 10:00
@@ -112,7 +112,7 @@ def main() -> None:
           f" (cloud bill: {spent:.0f} credits)")
 
     # the same trace can be persisted for reuse by other tools
-    save_trace(nodes[:2], io.StringIO())  # (or a real path)
+    save_trace(trace, io.StringIO())  # (or a real path)
     print("\ntrace round-trips through repro.infra.fta for reuse.")
 
 

@@ -52,8 +52,8 @@ def main() -> None:
 
     # Table 2 style statistics of the materialized trace
     spec = get_trace_spec("spot10")
-    nodes = spec.materialize(np.random.default_rng(8), 4 * DAY)
-    st = measure_trace(nodes, 4 * DAY)
+    trace = spec.materialize(np.random.default_rng(8), 4 * DAY)
+    st = measure_trace(trace, 4 * DAY)
     print(f"\nspot10 trace vs paper targets: mean {st.mean_nodes:.0f} "
           f"(target {spec.mean_nodes:.0f}), max {st.max_nodes} "
           f"(target {spec.max_nodes})")

@@ -718,15 +718,15 @@ def _cmd_trace(args) -> int:
     spec = get_trace_spec(args.name)
     horizon = args.days * 86400.0
     rng = np.random.default_rng(args.seed)
-    nodes = spec.materialize(rng, horizon, max_nodes=args.max_nodes)
-    stats = measure_trace(nodes, horizon)
+    trace = spec.materialize(rng, horizon, max_nodes=args.max_nodes)
+    stats = measure_trace(trace, horizon)
     print(f"trace {spec.name} ({spec.dci_class}), {args.days:g} days, "
-          f"{len(nodes)} nodes materialized")
+          f"{trace.n} nodes materialized")
     print(f"  paper target : mean {spec.mean_nodes:.0f}, "
           f"av quartiles {spec.avail_quartiles}")
     print(f"  measured     : {stats.row()}")
     if args.export:
-        save_trace(nodes, args.export,
+        save_trace(trace, args.export,
                    header=f"synthesized {spec.name}, seed {args.seed}, "
                           f"{args.days:g} days")
         print(f"  exported to {args.export}")

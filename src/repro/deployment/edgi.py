@@ -152,14 +152,14 @@ class EDGIDeployment:
         # XW@LAL: desktop grid with nd-like churn.
         lal_trace = get_trace_spec("nd").materialize(
             rng, self.horizon, max_nodes=lal_nodes)
-        self.lal_pool = NodePool(NodeColumns.from_nodes(lal_trace),
+        self.lal_pool = NodePool(NodeColumns.from_flat(*lal_trace),
                                  rng=np.random.default_rng([seed, 1]))
         self.xw_lal = XWHepServer(self.sim, self.lal_pool, name="XW@LAL")
 
         # XW@LRI: Grid'5000 best-effort, bounded to 200 nodes (§5).
         lri_trace = get_trace_spec("g5klyo").materialize(
             rng, self.horizon, max_nodes=lri_nodes)
-        self.lri_pool = NodePool(NodeColumns.from_nodes(lri_trace),
+        self.lri_pool = NodePool(NodeColumns.from_flat(*lri_trace),
                                  rng=np.random.default_rng([seed, 2]))
         self.xw_lri = XWHepServer(self.sim, self.lri_pool, name="XW@LRI")
 

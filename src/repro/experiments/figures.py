@@ -282,8 +282,8 @@ def table2_report(horizon_days: float = 4.0,
             ",".join(f"{q:.0f}" for q in spec.avail_quartiles),
             ",".join(f"{q:.0f}" for q in spec.unavail_quartiles),
             f"{spec.power_mean:.0f}", f"{spec.power_std:.0f}")
-        nodes = spec.materialize(rng, horizon_days * 86400.0)
-        st = measure_trace(nodes, horizon_days * 86400.0, step)
+        trace = spec.materialize(rng, horizon_days * 86400.0)
+        st = measure_trace(trace, horizon_days * 86400.0, step)
         table.add_row(
             "", "measured", f"{st.mean_nodes:.0f}", f"{st.std_nodes:.0f}",
             st.min_nodes, st.max_nodes,

@@ -23,8 +23,12 @@ where ``stream`` is empty for single-DCI scenarios (bit-identical to
 the historical layout) and ``(dci_index,)`` in a federation, so two
 DCIs sharing a trace name still realize *different* environments.
 
-Trace-realization cache (two tiers): materialized interval arrays are
-cached per ``(trace, seed-stream, cap, horizon)``.  L1 is a true-LRU
+Trace-realization cache (two tiers): realizations are cached as
+validated, read-only columns templates per ``(trace, seed-stream,
+cap, horizon)``.  One format travels the whole way: the generators emit
+flat interval columns, the store archives and memory-maps those same
+arrays, and :meth:`~repro.infra.columns.NodeColumns.from_flat` wraps
+them without a per-node split.  L1 is a true-LRU
 in-process dict — paired with/without runs, the 18-combination
 strategy grid and every DCI of a federated sweep replay the same
 environments, so regeneration would be pure waste.  Capacity comes
@@ -38,11 +42,11 @@ entry that decodes but fails validation is dropped as ``corrupt`` and
 regenerated), and fresh realizations are archived on the way in, so
 `CampaignExecutor` shards — keyed by ``(trace, seed)`` — land on warm
 entries by construction.  Hit/miss/eviction counters are kept on the
-cache object; ``disk_hits`` counts L2 promotions.  Only interval
-arrays are cached, and they are **read-only** (a mutating consumer
-fails loudly instead of silently corrupting every future execution
-sharing the realization) — scan cursors are per execution, and every
-DCI's pool applies its realization's cached ``NodePool.file`` filing.
+cache object; ``disk_hits`` counts L2 promotions.  The cached arrays
+are **read-only** (a mutating consumer fails loudly instead of
+silently corrupting every future execution sharing the realization) —
+scan cursors are per execution, and every DCI's pool applies its
+realization's cached ``NodePool.file`` filing.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ from repro.experiments.trace_store import default_trace_store
 from repro.history import HistoryPlane
 from repro.infra.catalog import get_trace_spec
 from repro.infra.columns import NodeColumns
-from repro.infra.node import Node
 from repro.infra.pool import Filing, NodePool
 from repro.middleware import resolve_server
 from repro.middleware.base import DGServer
@@ -78,54 +81,21 @@ __all__ = ["TraceCache", "TRACE_CACHE", "AssemblyCache", "ASSEMBLY_CACHE",
 # trace realization cache (per process, true LRU)
 # ---------------------------------------------------------------------------
 _TraceKey = Tuple[str, Tuple[int, ...], int, float]
-_RawNodes = List[Tuple[np.ndarray, np.ndarray, float, str]]
-
-
-class _CacheEntry:
-    """One cached realization: a validated columns template and/or the
-    per-node raw view list, whichever was cheapest to obtain.
-
-    Disk hits arrive flat and become a zero-copy
-    :meth:`~repro.infra.columns.NodeColumns.from_flat` template; the
-    per-node views are only split off it if an object-Node consumer
-    actually asks (:meth:`TraceCache.materialize`), so columnar
-    consumers never pay the 10^5-iteration split.  Generated
-    realizations arrive raw.
-    """
-
-    __slots__ = ("template", "_raw")
-
-    def __init__(self, template: Optional[NodeColumns] = None,
-                 raw: Optional[_RawNodes] = None):
-        self.template = template
-        self._raw = raw
-
-    @property
-    def raw(self) -> _RawNodes:
-        if self._raw is None:
-            cols = self.template
-            o = cols.offsets
-            self._raw = [
-                (np.asarray(cols.starts[o[i]:o[i + 1]]),
-                 np.asarray(cols.ends[o[i]:o[i + 1]]),
-                 float(cols.power[i]), cols.tags[i])
-                for i in range(cols.n)]
-        return self._raw
 
 
 class TraceCache:
-    """Two-tier cache of materialized trace realizations (raw arrays).
+    """Two-tier cache of trace realizations (columns templates).
 
-    L1: in-process LRU of realizations.  L2: the shared
-    content-addressed on-disk :class:`~repro.experiments.trace_store.
-    TraceStore` (disabled under ``REPRO_NO_CACHE=1``).  All cached
-    arrays are read-only; Node and column rebuilds share them
-    zero-copy.  Derived per-execution state (columns templates, pool
-    filings) lives one level up, in :class:`AssemblyCache`.
+    L1: in-process LRU of validated, read-only
+    :class:`~repro.infra.columns.NodeColumns` templates.  L2: the
+    shared content-addressed on-disk :class:`~repro.experiments.
+    trace_store.TraceStore` (disabled under ``REPRO_NO_CACHE=1``).
+    Derived per-execution state (pool filings) lives one level up, in
+    :class:`AssemblyCache`.
     """
 
     def __init__(self) -> None:
-        self._entries: "OrderedDict[_TraceKey, _CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[_TraceKey, NodeColumns]" = OrderedDict()
         self.hits = 0
         self.misses = 0       # L1 misses (may still hit disk)
         self.disk_hits = 0    # L1 misses served by the on-disk store
@@ -136,18 +106,6 @@ class TraceCache:
         """Entry cap from ``REPRO_TRACE_CACHE`` (default 6, min 1)."""
         return max(1, int(os.environ.get("REPRO_TRACE_CACHE", "6")))
 
-    def materialize(self, trace: str, seed: int, cap: int, horizon: float,
-                    stream: Sequence[int] = ()) -> List[Node]:
-        """Nodes of one trace realization, rebuilt from cached arrays.
-
-        ``stream`` extends the RNG label (a federated scenario passes
-        the DCI index so same-trace DCIs realize independently); the
-        empty stream reproduces the historical single-DCI layout.
-        """
-        raw = self._entry_for((trace, (seed, *stream), cap, horizon)).raw
-        return [Node(i, power, starts, ends, tag=tag)
-                for i, (starts, ends, power, tag) in enumerate(raw)]
-
     def columns_template(self, trace: str, seed: int, cap: int,
                          horizon: float,
                          stream: Sequence[int] = ()) -> NodeColumns:
@@ -155,13 +113,15 @@ class TraceCache:
         own cursor, over the cached arrays (the caller keeps it — see
         :class:`AssemblyCache`; executions run on its
         :meth:`~repro.infra.columns.NodeColumns.fresh` cursor copies).
-        """
-        entry = self._entry_for((trace, (seed, *stream), cap, horizon))
-        if entry.template is not None:
-            return entry.template.fresh()
-        return NodeColumns.from_raw(entry.raw)
 
-    def _entry_for(self, key: _TraceKey) -> "_CacheEntry":
+        ``stream`` extends the RNG label (a federated scenario passes
+        the DCI index so same-trace DCIs realize independently); the
+        empty stream reproduces the historical single-DCI layout.
+        """
+        return self._entry_for((trace, (seed, *stream), cap,
+                                horizon)).fresh()
+
+    def _entry_for(self, key: _TraceKey) -> NodeColumns:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
@@ -177,16 +137,14 @@ class TraceCache:
             self._entries.move_to_end(key)
         return entry
 
-    def _materialize_miss(self, key: _TraceKey) -> "_CacheEntry":
+    def _materialize_miss(self, key: _TraceKey) -> NodeColumns:
         """L1 miss: promote from the disk store, else generate + archive.
 
-        Disk promotions are validated into a columns template over the
-        store's flat arrays (per-node views are only split off lazily,
-        see :class:`_CacheEntry`); an entry that decodes but fails that
-        validation is dropped as corrupt and regenerated.  The
-        generated arrays are frozen before anything else sees them:
-        every execution rebuilt from this entry shares them zero-copy,
-        so a mutating consumer must fail loudly.
+        A disk entry that decodes but fails the columns validation is
+        dropped as corrupt and regenerated.  A generated realization is
+        validated (which freezes its arrays) before it is archived:
+        every execution over this entry shares them zero-copy, so a
+        mutating consumer must fail loudly.
         """
         trace, (seed, *stream), cap, horizon = key
         store = default_trace_store()
@@ -199,19 +157,16 @@ class TraceCache:
                     store.drop_corrupt(key)
                 else:
                     self.disk_hits += 1
-                    return _CacheEntry(template=template)
+                    return template
         rng = np.random.default_rng([seed, *stream, 0xACE])
-        nodes = get_trace_spec(trace).materialize(rng, horizon, cap)
-        raw = [(n.starts, n.ends, n.power, n.tag) for n in nodes]
-        for starts, ends, _power, _tag in raw:
-            starts.setflags(write=False)
-            ends.setflags(write=False)
+        flat = get_trace_spec(trace).materialize(rng, horizon, cap)
+        template = NodeColumns.from_flat(*flat)
         if store is not None:
             try:
-                store.save(key, raw)
+                store.save(key, flat)
             except OSError:
                 pass  # a full/read-only disk must not fail the run
-        return _CacheEntry(raw=raw)
+        return template
 
     # ------------------------------------------------------------------
     def keys(self) -> List[_TraceKey]:

@@ -1,7 +1,7 @@
 """Content-addressed on-disk store of trace realizations (L2 tier).
 
 The in-process :class:`~repro.experiments.harness.TraceCache` (L1, an
-LRU of raw interval arrays) dies with its process, so every campaign
+LRU of columns templates) dies with its process, so every campaign
 shard — the executor shards by ``(trace, seed)`` precisely so each
 worker materializes a given environment once — still paid the dominant
 regeneration cost the first time it touched a realization.  This module
@@ -24,7 +24,9 @@ seconds of renewal/gantt synthesis.  If the zip layout ever defeats the
 mmap fast path the loader falls back to a plain (still read-only)
 ``np.load``.
 
-Storage layout per entry (one realization of N nodes):
+Storage layout per entry (one realization of N nodes) — the flat
+layout the generators emit (:class:`~repro.infra.intervals.FlatTrace`)
+and :meth:`~repro.infra.columns.NodeColumns.from_flat` takes:
 
 * ``starts`` / ``ends`` — all nodes' intervals concatenated (float64);
 * ``bounds`` — int64 offsets of length N+1 (node ``i`` owns
@@ -48,11 +50,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.infra.intervals import FlatTrace
+
 __all__ = ["TraceStore", "default_trace_store", "default_trace_store_path",
            "generator_fingerprint", "set_default_trace_store"]
 
-#: raw realization: one (starts, ends, power, tag) tuple per node
-RawNodes = List[Tuple[np.ndarray, np.ndarray, float, str]]
 #: cache key: (trace, seed-stream, cap, horizon)
 TraceKey = Tuple[str, Tuple[int, ...], int, float]
 
@@ -61,9 +63,9 @@ TRACE_STORE_VERSION = "traces-v1"
 
 #: the ``repro/infra`` modules a realization is produced by: the trace
 #: catalog and everything it draws through.  Consumers of realizations
-#: (``pool.py``, ``columns.py``, ``stats.py``, ``fta.py``) are left out,
-#: so editing them keeps every stored realization valid.
-GENERATOR_SOURCES = ("catalog.py", "gantt.py", "intervals.py", "node.py",
+#: (``pool.py``, ``columns.py``, ``node.py``, ``stats.py``, ``fta.py``)
+#: are left out, so editing them keeps every stored realization valid.
+GENERATOR_SOURCES = ("catalog.py", "gantt.py", "intervals.py",
                      "quantile.py", "renewal.py", "spot.py")
 
 _fingerprint: Optional[str] = None
@@ -161,15 +163,12 @@ class TraceStore:
         return os.path.join(self.root,
                             f"{key[0]}-{digest}-{self.fingerprint}.npz")
 
-    def load_flat(self, key: TraceKey) -> Optional[Tuple]:
-        """The stored realization in its on-disk flat layout, or None.
+    def load_flat(self, key: TraceKey) -> Optional[FlatTrace]:
+        """The stored realization in its flat layout, or None.
 
-        Returns ``(starts, ends, bounds, powers, tags)`` — the interval
-        arrays memory-mapped read-only, tags as a plain str tuple.
-        This is the zero-loop fast path for columnar consumers
-        (:meth:`~repro.infra.columns.NodeColumns.from_flat`); a 10^5
-        -host load is five array handles instead of 10^5 per-node
-        view constructions.
+        The interval arrays come back memory-mapped read-only, tags as
+        a plain str tuple: a 10^5-host load is five array handles,
+        ready for :meth:`~repro.infra.columns.NodeColumns.from_flat`.
         """
         path = self.path_for(key)
         if not os.path.exists(path):
@@ -196,7 +195,7 @@ class TraceStore:
         except OSError:
             pass
 
-    def _read_flat(self, path: str) -> Tuple:
+    def _read_flat(self, path: str) -> FlatTrace:
         try:
             arrays = _mmap_npz(path, ("starts", "ends", "bounds"))
         except Exception:
@@ -209,45 +208,23 @@ class TraceStore:
         with np.load(path, allow_pickle=False) as npz:
             powers = npz["powers"]
             tags = npz["tags"]
-        return (arrays["starts"], arrays["ends"], arrays["bounds"],
-                powers, tuple(tags.tolist()))
+        return FlatTrace(arrays["starts"], arrays["ends"],
+                         arrays["bounds"], powers, tuple(tags.tolist()))
 
-    def load(self, key: TraceKey) -> Optional[RawNodes]:
-        """The stored realization as read-only per-node views, or None."""
-        flat = self.load_flat(key)
-        if flat is None:
-            return None
-        starts, ends, bounds, powers, tags = flat
-        raw: RawNodes = []
-        for i in range(bounds.shape[0] - 1):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            # plain-ndarray views (not memmap subclass instances) so a
-            # Node rebuild's asarray() is an identity no-op and every
-            # execution shares the exact same array objects
-            raw.append((np.asarray(starts[lo:hi]), np.asarray(ends[lo:hi]),
-                        float(powers[i]), str(tags[i])))
-        return raw
-
-    def save(self, key: TraceKey, raw: RawNodes) -> str:
+    def save(self, key: TraceKey, trace: FlatTrace) -> str:
         """Archive one realization atomically; returns its path."""
         path = self.path_for(key)
         if os.path.exists(path):
             return path
-        bounds = np.zeros(len(raw) + 1, dtype=np.int64)
-        for i, (s, _e, _p, _t) in enumerate(raw):
-            bounds[i + 1] = bounds[i] + s.shape[0]
-        starts = (np.concatenate([s for s, _e, _p, _t in raw])
-                  if raw else np.empty(0))
-        ends = (np.concatenate([e for _s, e, _p, _t in raw])
-                if raw else np.empty(0))
-        powers = np.array([p for _s, _e, p, _t in raw], dtype=float)
-        tags = np.array([t for _s, _e, _p, t in raw])
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".npz.tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                np.savez(fh, starts=np.ascontiguousarray(starts, dtype=float),
-                         ends=np.ascontiguousarray(ends, dtype=float),
-                         bounds=bounds, powers=powers, tags=tags)
+                np.savez(fh, starts=np.ascontiguousarray(trace.starts,
+                                                         dtype=float),
+                         ends=np.ascontiguousarray(trace.ends, dtype=float),
+                         bounds=np.asarray(trace.offsets, dtype=np.int64),
+                         powers=np.asarray(trace.power, dtype=float),
+                         tags=np.array(trace.tags))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -2,8 +2,8 @@
 
 Every :class:`TraceSpec` carries the statistics published in Table 2 of
 the paper (mean/min/max available nodes, duration quartiles, node
-power) and knows how to *materialize* itself into a list of
-:class:`~repro.infra.node.Node` schedules:
+power) and knows how to *materialize* itself into flat interval
+columns (:class:`~repro.infra.intervals.FlatTrace`):
 
 * ``seti``, ``nd``      — desktop grids: quartile-fitted alternating
   renewal (`repro.infra.renewal`);
@@ -26,10 +26,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.infra.gantt import GanttTraceGenerator
-from repro.infra.node import Node
+from repro.infra.intervals import FlatTrace
 from repro.infra.quantile import PiecewiseLogQuantile
 from repro.infra.renewal import RenewalTraceGenerator
-from repro.infra.spot import SpotMarket, SpotMarketParams, spot_nodes
+from repro.infra.spot import SpotMarket, SpotMarketParams, spot_trace
 
 __all__ = ["TraceSpec", "TRACE_NAMES", "get_trace_spec", "list_trace_specs"]
 
@@ -111,7 +111,7 @@ class TraceSpec:
         return 0.5 if self._gated() else 1.0
 
     def materialize(self, rng: np.random.Generator, horizon: float,
-                    max_nodes: Optional[int] = None) -> List[Node]:
+                    max_nodes: Optional[int] = None) -> FlatTrace:
         """Generate node schedules over ``[0, horizon)`` seconds.
 
         ``max_nodes`` caps the materialized population; when capped the
@@ -126,7 +126,7 @@ class TraceSpec:
         if self.family == SPOT:
             assert self.spot_budget is not None
             market = SpotMarket(rng, horizon, self.spot_params)
-            return spot_nodes(rng, market, self.spot_budget,
+            return spot_trace(rng, market, self.spot_budget,
                               self.power_mean, self.power_std,
                               max_instances=n, tag=self.name)
         if self._gated():

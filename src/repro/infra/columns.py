@@ -15,8 +15,9 @@ pass per host — rebuilt for *every* execution sharing the realization.
 
 The interval arrays, offsets and powers are immutable and shared
 zero-copy across executions (they are validated once, by
-:meth:`NodeColumns.from_flat`, which ``from_raw`` and ``from_nodes``
-feed); :meth:`NodeColumns.fresh` hands each
+:meth:`NodeColumns.from_flat` — the generators' and the trace store's
+layout — or by ``from_nodes`` for traces loaded from files);
+:meth:`NodeColumns.fresh` hands each
 execution its own cursor array — the per-execution cost of "rebuild
 all nodes" collapses to one ``offsets[:-1].copy()``.
 
@@ -65,27 +66,6 @@ class NodeColumns:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_raw(cls, raw: Sequence[Tuple[np.ndarray, np.ndarray,
-                                          float, str]]) -> "NodeColumns":
-        """Build the immutable template from per-node raw arrays.
-
-        ``raw`` is the trace cache's entry format:
-        ``[(starts, ends, power, tag), ...]`` in node-id order, flattened
-        here and validated once by :meth:`from_flat` instead of once per
-        node per execution.
-        """
-        if any(s.shape != e.shape for s, e, _p, _t in raw):
-            raise ValueError("starts and ends must have identical shapes")
-        offsets = np.zeros(len(raw) + 1, dtype=np.int64)
-        np.cumsum([s.shape[0] for s, _e, _p, _t in raw], dtype=np.int64,
-                  out=offsets[1:])
-        return cls.from_flat(
-            np.concatenate([_EMPTY, *(s for s, _e, _p, _t in raw)]),
-            np.concatenate([_EMPTY, *(e for _s, e, _p, _t in raw)]),
-            offsets, [p for _s, _e, p, _t in raw],
-            [tag for _s, _e, _p, tag in raw])
-
-    @classmethod
     def from_nodes(cls, nodes: Sequence) -> "NodeColumns":
         """Build the template from trace :class:`~repro.infra.node.Node`
         objects; the column index is the node id, so they must be
@@ -93,8 +73,13 @@ class NodeColumns:
         for i, node in enumerate(nodes):
             if node.node_id != i or node.cloud:
                 raise ValueError(f"expected trace node {i}, got {node!r}")
-        return cls.from_raw([(n.starts, n.ends, n.power, n.tag)
-                             for n in nodes])
+        offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum([n.starts.shape[0] for n in nodes], dtype=np.int64,
+                  out=offsets[1:])
+        return cls.from_flat(
+            np.concatenate([_EMPTY, *(n.starts for n in nodes)]),
+            np.concatenate([_EMPTY, *(n.ends for n in nodes)]),
+            offsets, [n.power for n in nodes], [n.tag for n in nodes])
 
     @classmethod
     def from_flat(cls, starts: np.ndarray, ends: np.ndarray,
@@ -103,12 +88,14 @@ class NodeColumns:
         """Build the template from already-flat arrays, zero-copy, and
         freeze them.
 
-        This is the trace store's on-disk layout (``starts``/``ends``/
-        ``bounds``/``powers``/``tags``), so a store hit skips both the
-        per-node view split and the re-concatenation: the mmap-backed
+        This is the layout the trace generators emit
+        (:class:`~repro.infra.intervals.FlatTrace`) and the trace
+        store's on-disk layout (``starts``/``ends``/``bounds``/
+        ``powers``/``tags``), so neither a fresh realization nor a
+        store hit is ever split per node: the generated or mmap-backed
         arrays become the columns directly.  One vectorized pass
         validates the layout (offsets run from 0 to ``len(starts)``
-        without decreasing, one positive power and one tag per node)
+        without decreasing, one finite positive power and one tag per node)
         and the intervals (positive-length, sorted and non-overlapping
         per node).
         """
@@ -127,9 +114,11 @@ class NodeColumns:
                              "without decreasing")
         if power.shape != (n,) or len(tags) != n:
             raise ValueError("power and tags must hold one entry per node")
-        if not np.all(power > 0):
-            bad = float(power[np.argmax(~(power > 0))])
-            raise ValueError(f"node power must be positive, got {bad}")
+        usable = (power > 0) & (power < np.inf)
+        if not np.all(usable):
+            bad = float(power[np.argmax(~usable)])
+            raise ValueError(f"node power must be finite and positive, "
+                             f"got {bad}")
         if not np.all(ends > starts):
             raise ValueError("intervals must be positive-length")
         # sortedness within each node: every adjacent pair must

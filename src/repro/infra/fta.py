@@ -18,15 +18,17 @@ sorted and disjoint; the optional 4th column carries node power in
 nops/s (defaulting to ``default_power``).
 
 Round trip: :func:`save_trace` writes exactly what :func:`load_trace`
-reads, so synthesized traces can also be exported for inspection or
-reuse by external tools.
+reads (``NodeColumns.from_nodes`` turns the loaded nodes back into
+columns), so synthesized traces can also be exported for inspection
+or reuse by external tools.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import defaultdict
-from typing import Dict, List, Sequence, TextIO, Union
+from typing import Dict, List, TextIO, Union
 
 import numpy as np
 
@@ -87,9 +89,10 @@ def load_trace(path_or_file: Union[str, TextIO],
                 except ValueError as exc:
                     raise TraceFormatError(
                         f"line {lineno}: bad power value") from exc
-                if power <= 0:
+                if not 0 < power < math.inf:
                     raise TraceFormatError(
-                        f"line {lineno}: power must be positive")
+                        f"line {lineno}: power must be finite and "
+                        f"positive")
             if nid in powers and powers[nid] != power:
                 raise TraceFormatError(
                     f"line {lineno}: node {nid} changes power "
@@ -116,22 +119,25 @@ def load_trace(path_or_file: Union[str, TextIO],
     return nodes
 
 
-def save_trace(nodes: Sequence[Node],
-               path_or_file: Union[str, TextIO],
+def save_trace(trace, path_or_file: Union[str, TextIO],
                header: str = "") -> None:
-    """Write nodes to the FTA-style interval format (see module doc)."""
+    """Write a realization in flat interval columns (a
+    :class:`~repro.infra.intervals.FlatTrace` or a
+    :class:`~repro.infra.columns.NodeColumns`; node ``i`` is written
+    as id ``i``) to the FTA-style interval format (see module doc)."""
     fh, owned = _open(path_or_file, "w")
     try:
         fh.write("# node_id start_seconds end_seconds power\n")
         if header:
             for line in header.splitlines():
                 fh.write(f"# {line}\n")
-        for node in nodes:
+        offsets = trace.offsets.tolist()
+        starts, ends = trace.starts.tolist(), trace.ends.tolist()
+        for i, power in enumerate(trace.power.tolist()):
             # repr gives the shortest exact decimal: load() replays the
             # simulation bit-for-bit identically.
-            for s, e in zip(node.starts, node.ends):
-                fh.write(f"{node.node_id} {float(s)!r} {float(e)!r} "
-                         f"{float(node.power)!r}\n")
+            for k in range(offsets[i], offsets[i + 1]):
+                fh.write(f"{i} {starts[k]!r} {ends[k]!r} {power!r}\n")
     finally:
         if owned:
             fh.close()

@@ -23,52 +23,102 @@ proprietary data.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import Tuple
 
 import numpy as np
 
-from repro.infra import intervals as iv
-from repro.infra.node import Node
+from repro.infra.intervals import FlatTrace
 from repro.infra.renewal import RenewalTraceGenerator
 
-__all__ = ["GanttTraceGenerator", "gate_windows"]
+__all__ = ["GanttTraceGenerator", "gate_matrix", "intersect_gated"]
 
 
-def gate_windows(threshold: float, period: float, phase: float,
-                 horizon: float, depth: float = 1.0,
-                 base: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
-    """Time windows where ``base + (depth/2)*sin(2*pi*t/period + phase)``
-    exceeds ``threshold``.
+def gate_matrix(n_nodes: int, period: float, phase: float, horizon: float,
+                depth: float = 1.0, base: float = 0.5
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every node's participation windows as padded ``(n, W)`` rows.
 
-    Returns a sorted disjoint interval set over [0, horizon).  With the
-    default ``base=0.5, depth=1.0`` the gate spans [0, 1] and threshold
-    ``r`` is exceeded during an arc of each period.
+    Node ``i`` participates while ``base + (depth/2)*sin(2*pi*t/period
+    + phase)`` exceeds its threshold ``(i + 0.5) / n``.  Row ``i`` holds
+    that node's windows over [0, horizon): one arc per period, the
+    floats of ``t = lo_off + k*period`` clipped to ``max(0, t)`` and
+    ``min(horizon, t + width)``.  A node whose threshold the gate never
+    reaches has none; one the gate always exceeds has the single window
+    ``(0, horizon)``.
+
+    Rows are padded so that ``searchsorted`` becomes a count: the arcs
+    that end before t=0 become ``(-inf, -inf)`` and the slots past the
+    horizon ``(+inf, +inf)``.  For a finite interval ``[s, e)``, the
+    number of row cells with ``end <= s`` (or ``start < e``) is then
+    the row's leading ``-inf`` cells plus the ``searchsorted`` count
+    over its real windows.
     """
     if period <= 0 or horizon <= 0:
         raise ValueError("period and horizon must be positive")
     amp = depth / 2.0
     lo, hi = base - amp, base + amp
-    if threshold <= lo:
-        return np.array([0.0]), np.array([horizon])
-    if threshold >= hi:
-        return np.empty(0), np.empty(0)
-    # sin(x) > s on (asin(s), pi - asin(s)) within each 2*pi cycle.
-    s = (threshold - base) / amp
-    a = math.asin(s)
-    w = period / (2.0 * math.pi)
-    lo_off = (a * w - phase * w) % period
-    width = (math.pi - 2.0 * a) * w
-    # One window per period at t = lo_off + k*period, k = -1, 0, 1, ...
-    # while t < horizon; the arange form computes the exact same
-    # k*period + lo_off floats as the historical per-step loop.
-    n_max = max(0, int(math.ceil((horizon - lo_off) / period))) + 2
-    t = lo_off + np.arange(-1, n_max, dtype=float) * period
-    t = t[t < horizon]
-    e0 = t + width
-    keep = e0 > 0.0
-    starts = np.maximum(0.0, t[keep])
-    ends = np.minimum(horizon, e0[keep])
-    return starts, ends
+    thr = (np.arange(n_nodes) + 0.5) / n_nodes
+    arc = np.flatnonzero((thr > lo) & (thr < hi))
+    width_cols = 1
+    if arc.size:
+        # sin(x) > s on (asin(s), pi - asin(s)) within each 2*pi cycle;
+        # math.asin per row keeps the libm floats of the scalar form
+        a = np.array([math.asin(x) for x in ((thr[arc] - base) / amp)
+                      .tolist()])
+        w = period / (2.0 * math.pi)
+        lo_off = (a * w - phase * w) % period
+        width = (math.pi - 2.0 * a) * w
+        # k = -1, 0, 1, ... while k < n_max: the arange form's floats
+        n_max = np.maximum(
+            0, np.ceil((horizon - lo_off) / period).astype(np.int64)) + 2
+        width_cols = int(n_max.max()) + 1
+        k = np.arange(-1, width_cols - 1, dtype=float)
+        t = lo_off[:, None] + k * period
+        valid = (k[None, :] < n_max[:, None]) & (t < horizon)
+        e0 = t + width[:, None]
+        keep = valid & (e0 > 0.0)
+        pad = np.where(valid, -np.inf, np.inf)
+    gs = np.full((n_nodes, width_cols), np.inf)
+    ge = np.full((n_nodes, width_cols), np.inf)
+    always = thr <= lo
+    gs[always, 0] = 0.0
+    ge[always, 0] = horizon
+    if arc.size:
+        gs[arc] = np.where(keep, np.maximum(0.0, t), pad)
+        ge[arc] = np.where(keep, np.minimum(horizon, e0), pad)
+    return gs, ge
+
+
+def intersect_gated(trace: FlatTrace, gs: np.ndarray, ge: np.ndarray
+                    ) -> FlatTrace:
+    """Each node's intervals intersected with its row of gate windows,
+    for every node in one segmented pass.
+
+    Interval ``[s, e)`` of node ``i`` overlaps exactly the windows
+    ``lo..hi-1`` of row ``i``: ``lo`` counts the windows ending at or
+    before ``s``, ``hi`` those starting before ``e`` (see
+    :func:`gate_matrix` for the padding that makes both plain counts).
+    Every overlapping pair emits ``(max(s1, s2), min(e1, e2))``,
+    interval-major then window-major within each node — the floats and
+    order of a per-node ``searchsorted`` intersection.
+    """
+    s1, e1, offsets = trace.starts, trace.ends, trace.offsets
+    node = np.repeat(np.arange(trace.n), np.diff(offsets))
+    lo = np.zeros(s1.shape[0], dtype=np.int64)
+    hi = np.zeros(s1.shape[0], dtype=np.int64)
+    for col in range(gs.shape[1]):
+        lo += ge[node, col] <= s1
+        hi += gs[node, col] < e1
+    counts = np.maximum(hi - lo, 0)
+    ends_at = np.zeros(s1.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=ends_at[1:])
+    total = int(ends_at[-1])
+    row = np.repeat(np.arange(s1.shape[0]), counts)
+    col = np.arange(total) - np.repeat(ends_at[:-1] - lo, counts)
+    win = node[row]
+    return FlatTrace(np.maximum(s1[row], gs[win, col]),
+                     np.minimum(e1[row], ge[win, col]),
+                     ends_at[offsets], trace.power, trace.tags)
 
 
 class GanttTraceGenerator:
@@ -105,24 +155,18 @@ class GanttTraceGenerator:
         return max(1, int(round(mean_available / (p * participation))))
 
     def generate(self, rng: np.random.Generator, n_nodes: int,
-                 horizon: float, tag: str = "", id_offset: int = 0) -> List[Node]:
-        """Materialize nodes: renewal schedule ∩ participation windows.
+                 horizon: float, tag: str = "") -> FlatTrace:
+        """Realize nodes: renewal schedule ∩ participation windows.
 
-        The renewal schedules come from the bulk-vectorized generator;
-        only the (cheap) per-node window intersection runs in a loop.
+        The renewal schedules come from the bulk-vectorized generator
+        and are gated by :func:`intersect_gated` in one pass.
         """
         if n_nodes <= 0:
             raise ValueError("n_nodes must be positive")
         phase = rng.random() * 2.0 * math.pi
-        base_nodes = self.renewal.generate(rng, n_nodes, horizon,
-                                           tag=tag, id_offset=id_offset)
+        trace = self.renewal.generate(rng, n_nodes, horizon, tag=tag)
         if self.gate_depth <= 0.0:
-            return base_nodes
-        nodes = []
-        for i, bn in enumerate(base_nodes):
-            thr = (i + 0.5) / n_nodes
-            gs, ge = gate_windows(thr, self.gate_period, phase,
-                                  horizon, depth=self.gate_depth)
-            s, e = iv.intersect(bn.starts, bn.ends, gs, ge)
-            nodes.append(Node(id_offset + i, bn.power, s, e, tag=tag))
-        return nodes
+            return trace
+        gs, ge = gate_matrix(n_nodes, self.gate_period, phase, horizon,
+                             depth=self.gate_depth)
+        return intersect_gated(trace, gs, ge)

@@ -46,8 +46,9 @@ class Node:
     def __init__(self, node_id: int, power: float,
                  starts: np.ndarray, ends: np.ndarray,
                  cloud: bool = False, tag: str = ""):
-        if power <= 0:
-            raise ValueError(f"node power must be positive, got {power}")
+        if not 0 < power < math.inf:
+            raise ValueError(f"node power must be finite and positive, "
+                             f"got {power}")
         starts = np.asarray(starts, dtype=float)
         ends = np.asarray(ends, dtype=float)
         if starts.shape != ends.shape:

@@ -22,11 +22,15 @@ all three quartiles exact no matter the tail parameters.
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import Optional, Sequence
 
 import numpy as np
 
 __all__ = ["PiecewiseLogQuantile"]
+
+#: trapezoid grid of :meth:`PiecewiseLogQuantile.mean`
+_MEAN_GRID = 20001
 
 
 class PiecewiseLogQuantile:
@@ -47,8 +51,9 @@ class PiecewiseLogQuantile:
         q1, q2, q3 = (float(q) for q in quartiles)
         if not (0 < q1 <= q2 <= q3):
             raise ValueError(f"quartiles must be positive and sorted: {quartiles}")
-        if tail_factor < 1.0:
-            raise ValueError("tail_factor must be >= 1")
+        if not (1.0 <= tail_factor < math.inf):
+            raise ValueError(f"tail_factor must be finite and >= 1, "
+                             f"got {tail_factor}")
         if not (0 < floor_factor <= 1.0):
             raise ValueError("floor_factor must be in (0, 1]")
         q_min = max(1.0, q1 * floor_factor)
@@ -61,6 +66,7 @@ class PiecewiseLogQuantile:
         self.quartiles = (q1, q2, q3)
         self.q_min = q_min
         self.q_max = q_max
+        self._mean: Optional[float] = None
 
     # ------------------------------------------------------------------
     def ppf(self, u: np.ndarray) -> np.ndarray:
@@ -76,10 +82,14 @@ class PiecewiseLogQuantile:
             raise ValueError("size must be non-negative")
         return self.ppf(rng.random(size))
 
-    def mean(self, n: int = 20001) -> float:
-        """Numerical mean of the distribution (trapezoid over the ppf)."""
-        u = np.linspace(0.0, 1.0, n)
-        return float(np.trapezoid(self.ppf(u), u))
+    def mean(self) -> float:
+        """Numerical mean of the distribution (trapezoid over the ppf),
+        computed once: the distribution is immutable, and the renewal
+        generator's scalar walk asks for it once per node."""
+        if self._mean is None:
+            u = np.linspace(0.0, 1.0, _MEAN_GRID)
+            self._mean = float(np.trapezoid(self.ppf(u), u))
+        return self._mean
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         q1, q2, q3 = self.quartiles

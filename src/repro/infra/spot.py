@@ -27,9 +27,9 @@ from typing import List
 
 import numpy as np
 
-from repro.infra.node import Node
+from repro.infra.intervals import FlatTrace
 
-__all__ = ["SpotMarket", "spot_intervals", "ladder_counts"]
+__all__ = ["SpotMarket", "spot_intervals", "spot_trace", "ladder_counts"]
 
 
 @dataclass(frozen=True)
@@ -157,18 +157,21 @@ def spot_intervals(market: SpotMarket, budget: float,
     return out
 
 
-def spot_nodes(rng: np.random.Generator, market: SpotMarket, budget: float,
+def spot_trace(rng: np.random.Generator, market: SpotMarket, budget: float,
                power_mean: float, power_std: float,
-               max_instances: int | None = None, tag: str = "spot",
-               id_offset: int = 0) -> List[Node]:
-    """Materialize the bid ladder as :class:`Node` objects."""
+               max_instances: int | None = None,
+               tag: str = "spot") -> FlatTrace:
+    """Realize the bid ladder as flat interval columns, one node per
+    bid slot (see :func:`spot_intervals`)."""
     intervals = spot_intervals(market, budget, max_instances)
     n = len(intervals)
     if power_std > 0:
         powers = np.maximum(rng.normal(power_mean, power_std, n), 50.0)
     else:
-        powers = np.full(n, power_mean)
-    nodes = []
-    for i, (s, e) in enumerate(intervals):
-        nodes.append(Node(id_offset + i, float(powers[i]), s, e, tag=tag))
-    return nodes
+        powers = np.full(n, float(power_mean))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum([s.shape[0] for s, _e in intervals], out=offsets[1:])
+    empty = np.empty(0)
+    return FlatTrace(np.concatenate([empty, *(s for s, _e in intervals)]),
+                     np.concatenate([empty, *(e for _s, e in intervals)]),
+                     offsets, powers, (tag,) * n)

@@ -1,6 +1,9 @@
 """Trace statistics measurement — regenerates Table 2's columns.
 
-Given a materialized node population, :func:`measure_trace` computes the
+Given a realization in flat interval columns (a
+:class:`~repro.infra.intervals.FlatTrace` or a
+:class:`~repro.infra.columns.NodeColumns` — anything with ``starts``,
+``ends``, ``offsets`` and ``power``), :func:`measure_trace` computes the
 same summary the paper publishes for each BE-DCI trace: node-count
 moments of the "simultaneously available" process sampled on a grid,
 availability / unavailability duration quartiles pooled over nodes, and
@@ -11,11 +14,9 @@ against the :class:`~repro.infra.catalog.TraceSpec` targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.infra.node import Node
 
 __all__ = ["TraceStats", "measure_trace", "available_count_series"]
 
@@ -44,40 +45,26 @@ class TraceStats:
                 f"power {self.power_mean:.0f}±{self.power_std:.0f}")
 
 
-def available_count_series(nodes: Sequence[Node], horizon: float,
+def available_count_series(trace, horizon: float,
                            step: float = 600.0) -> np.ndarray:
     """Number of available nodes sampled every ``step`` seconds.
 
-    Uses an event-difference accumulation: +1 at each interval start,
-    -1 at each end, then a cumulative sum over the sorted event grid —
-    O(total intervals log) rather than O(nodes * samples).
+    The count at a grid point ``g`` is the number of interval starts
+    ``<= g`` minus the number of ends ``<= g`` — two sorted searches
+    over the flat columns, O(total intervals log) rather than
+    O(nodes * samples).
     """
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
-    edges: List[np.ndarray] = []
-    deltas: List[np.ndarray] = []
-    for node in nodes:
-        if node.starts.size == 0:
-            continue
-        edges.append(node.starts)
-        deltas.append(np.ones_like(node.starts))
-        edges.append(node.ends)
-        deltas.append(-np.ones_like(node.ends))
-    if not edges:
+    if trace.starts.size == 0:
         return np.zeros(int(horizon / step) + 1)
-    t = np.concatenate(edges)
-    d = np.concatenate(deltas)
-    order = np.argsort(t, kind="stable")
-    t, d = t[order], d[order]
-    count = np.cumsum(d)
     # Sample strictly inside (0, horizon): at t=0 the stationary-start
     # events are still firing and at t=horizon every interval has been
     # clipped shut, so both edges would report spurious zeros.
     grid = np.arange(step, horizon - step / 2, step)
-    # count at grid point g = value after the last event <= g
-    idx = np.searchsorted(t, grid, side="right") - 1
-    out = np.where(idx >= 0, count[np.clip(idx, 0, None)], 0)
-    return out.astype(float)
+    opened = np.searchsorted(np.sort(trace.starts), grid, side="right")
+    closed = np.searchsorted(np.sort(trace.ends), grid, side="right")
+    return (opened - closed).astype(float)
 
 
 def _duration_quartiles(durations: np.ndarray) -> Tuple[float, float, float]:
@@ -87,9 +74,9 @@ def _duration_quartiles(durations: np.ndarray) -> Tuple[float, float, float]:
     return (float(q[0]), float(q[1]), float(q[2]))
 
 
-def measure_trace(nodes: Sequence[Node], horizon: float,
+def measure_trace(trace, horizon: float,
                   step: float = 600.0) -> TraceStats:
-    """Compute Table 2-style statistics for a node population.
+    """Compute Table 2-style statistics for a realization.
 
     Boundary-censored observations are excluded, as failure-trace
     archives do: a node's first availability interval (clipped by the
@@ -97,24 +84,19 @@ def measure_trace(nodes: Sequence[Node], horizon: float,
     random time origin is systematically long) and its last one
     (clipped by the horizon) do not enter the duration statistics;
     unavailability durations are the gaps between consecutive
-    availability intervals.
+    availability intervals of one node.
     """
-    counts = available_count_series(nodes, horizon, step)
-    av_durs: List[np.ndarray] = []
-    unav_durs: List[np.ndarray] = []
-    powers = np.array([n.power for n in nodes], dtype=float)
-    for node in nodes:
-        if node.starts.size == 0:
-            continue
-        av = node.ends - node.starts
-        if av.size > 2:
-            av_durs.append(av[1:-1])
-        if node.starts.size > 1:
-            unav_durs.append(node.starts[1:] - node.ends[:-1])
-    av = np.concatenate(av_durs) if av_durs else np.empty(0)
-    un = np.concatenate(unav_durs) if unav_durs else np.empty(0)
+    counts = available_count_series(trace, horizon, step)
+    starts, ends = trace.starts, trace.ends
+    total = starts.shape[0]
+    # first[k]: interval k opens its node; first[k + 1]: k closes it
+    first = np.zeros(total + 1, dtype=bool)
+    first[trace.offsets] = True
+    av = (ends - starts)[~first[:-1] & ~first[1:]]
+    un = (starts[1:] - ends[:-1])[~first[1:-1]]
+    powers = np.asarray(trace.power, dtype=float)
     return TraceStats(
-        n_nodes=len(nodes),
+        n_nodes=len(trace.offsets) - 1,
         mean_nodes=float(np.mean(counts)),
         std_nodes=float(np.std(counts)),
         min_nodes=int(np.min(counts)),

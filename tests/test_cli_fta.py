@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.infra.columns import NodeColumns
 from repro.infra.fta import TraceFormatError, load_trace, save_trace
 from repro.infra.node import Node
 
@@ -17,7 +18,8 @@ def test_fta_roundtrip(tmp_path):
         Node(1, 1210.0, np.array([100.0]), np.array([4000.0])),
     ]
     path = tmp_path / "trace.txt"
-    save_trace(nodes, str(path), header="test trace")
+    save_trace(NodeColumns.from_nodes(nodes), str(path),
+               header="test trace")
     loaded = load_trace(str(path))
     assert len(loaded) == 2
     assert np.allclose(loaded[0].starts, nodes[0].starts)
@@ -70,6 +72,12 @@ def test_fta_rejects_bad_numbers():
         load_trace(io.StringIO("0 0 10 -5\n"))
 
 
+@pytest.mark.parametrize("power", ["nan", "inf"])
+def test_fta_rejects_non_finite_power(power):
+    with pytest.raises(TraceFormatError, match="line 1: power"):
+        load_trace(io.StringIO(f"0 0 10 {power}\n"))
+
+
 def test_fta_rejects_empty():
     with pytest.raises(TraceFormatError):
         load_trace(io.StringIO("# nothing here\n"))
@@ -84,15 +92,15 @@ def test_fta_loaded_trace_runs_in_simulation(tmp_path):
     from repro.workload.bot import BagOfTasks, Task
 
     spec = get_trace_spec("nd")
-    nodes = spec.materialize(np.random.default_rng(3), 2 * 86400.0,
+    trace = spec.materialize(np.random.default_rng(3), 2 * 86400.0,
                              max_nodes=40)
     path = tmp_path / "nd.txt"
-    save_trace(nodes, str(path))
+    save_trace(trace, str(path))
     loaded = load_trace(str(path))
 
-    def run(node_list):
+    def run(nodes):
         sim = Simulation(horizon=10 * 86400.0)
-        pool = NodePool(node_list, rng=np.random.default_rng(1))
+        pool = NodePool(nodes, rng=np.random.default_rng(1))
         srv = XWHepServer(sim, pool)
         bot = BagOfTasks(bot_id="b",
                          tasks=[Task(i, 50_000.0) for i in range(30)],
@@ -107,7 +115,8 @@ def test_fta_loaded_trace_runs_in_simulation(tmp_path):
         sim.run()
         return done.get("t")
 
-    assert run(nodes) == pytest.approx(run(loaded), rel=1e-9)
+    assert run(NodeColumns.from_flat(*trace)) == pytest.approx(
+        run(loaded), rel=1e-9)
 
 
 # --------------------------------------------------------------------- cli

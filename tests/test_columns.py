@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.infra.columns import ColumnNode, NodeColumns
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
+from oracles.traces import from_raw
 
 
 def _fleet_raw(seed: int, n: int = 30):
@@ -48,32 +49,39 @@ def _nodes_of(raw):
 # ------------------------------------------------------------- validation
 def test_from_raw_rejects_bad_power():
     with pytest.raises(ValueError, match="power"):
-        NodeColumns.from_raw([(np.array([0.0]), np.array([1.0]),
-                               0.0, "")])
+        from_raw([(np.array([0.0]), np.array([1.0]),
+                   0.0, "")])
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf])
+def test_from_flat_rejects_non_finite_power(power):
+    with pytest.raises(ValueError, match="finite and positive"):
+        NodeColumns.from_flat(np.array([0.0]), np.array([1.0]),
+                              np.array([0, 1]), np.array([power]), ("x",))
 
 
 def test_from_raw_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shapes"):
-        NodeColumns.from_raw([(np.array([0.0, 2.0]), np.array([1.0]),
-                               1.0, "")])
+        from_raw([(np.array([0.0, 2.0]), np.array([1.0]),
+                   1.0, "")])
 
 
 def test_from_raw_rejects_empty_intervals():
     with pytest.raises(ValueError, match="positive-length"):
-        NodeColumns.from_raw([(np.array([1.0]), np.array([1.0]),
-                               1.0, "")])
+        from_raw([(np.array([1.0]), np.array([1.0]),
+                   1.0, "")])
 
 
 def test_from_raw_rejects_overlap_within_a_node():
     with pytest.raises(ValueError, match="sorted"):
-        NodeColumns.from_raw([(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
-                               1.0, "")])
+        from_raw([(np.array([0.0, 1.0]), np.array([2.0, 3.0]),
+                   1.0, "")])
 
 
 def test_from_raw_allows_overlap_across_node_borders():
     """The sortedness check is per node; adjacent nodes' intervals are
     unrelated (every node starts its own timeline)."""
-    cols = NodeColumns.from_raw([
+    cols = from_raw([
         (np.array([0.0]), np.array([10.0]), 1.0, "a"),
         (np.array([0.0]), np.array([5.0]), 1.0, "b"),
     ])
@@ -82,7 +90,7 @@ def test_from_raw_allows_overlap_across_node_borders():
 
 
 def test_template_arrays_are_immutable():
-    cols = NodeColumns.from_raw(_fleet_raw(1, n=5))
+    cols = from_raw(_fleet_raw(1, n=5))
     with pytest.raises(ValueError):
         cols.starts[0] = -1.0
     with pytest.raises(ValueError):
@@ -90,7 +98,7 @@ def test_template_arrays_are_immutable():
 
 
 def test_fresh_shares_columns_but_not_cursor():
-    template = NodeColumns.from_raw(_fleet_raw(2, n=12))
+    template = from_raw(_fleet_raw(2, n=12))
     a, b = template.fresh(), template.fresh()
     assert a.starts is b.starts and a.offsets is b.offsets
     assert a.cursor is not b.cursor
@@ -103,7 +111,7 @@ def test_fresh_shares_columns_but_not_cursor():
 # ------------------------------------------------------- Node-API parity
 def test_column_node_matches_node_answers():
     raw = _fleet_raw(3, n=20)
-    cols = NodeColumns.from_raw(raw).fresh()
+    cols = from_raw(raw).fresh()
     nodes = _nodes_of(raw)
     probes = [0.0, 0.5, 1.0, 3.0, 7.5, 12.0, 30.0, 100.0]
     for i, node in enumerate(nodes):
@@ -133,7 +141,7 @@ def test_first_interval_matches_next_available_from_fresh_cursor(
     raw = [(np.array([s for s, _ in ivs], dtype=float),
             np.array([e for _, e in ivs], dtype=float), 1.0, "")
            for ivs in fleet]
-    template = NodeColumns.from_raw(raw)
+    template = from_raw(raw)
     ids, starts, ends = template.first_interval(after)
     got = dict(zip(ids.tolist(), zip(starts.tolist(), ends.tolist())))
     want = {}
@@ -158,7 +166,7 @@ def test_from_nodes_requires_dense_in_order_trace_ids():
 @pytest.mark.parametrize("garble", ["reversed", "decreasing", "power",
                                     "tags"])
 def test_from_flat_rejects_inconsistent_layouts(garble):
-    cols = NodeColumns.from_raw(_fleet_raw(8, n=5))
+    cols = from_raw(_fleet_raw(8, n=5))
     o = cols.offsets
     flat = dict(starts=cols.starts, ends=cols.ends, offsets=o,
                 power=cols.power, tags=cols.tags)
@@ -204,7 +212,7 @@ def test_columnar_pool_replays_object_pool_exactly(seed):
     raw = _fleet_raw(100 + seed, n=40)
     obj_pool = NodePool(_nodes_of(raw),
                         rng=np.random.default_rng([seed, 7]))
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col_pool = NodePool(from_raw(raw).fresh(),
                         rng=np.random.default_rng([seed, 7]))
     assert _drive(obj_pool) == _drive(col_pool)
 
@@ -216,7 +224,7 @@ def test_columnar_pool_handles_pre_zero_intervals():
     raw[4] = (np.array([-5.0, 2.0]), np.array([-1.0, 6.0]), 2.0, "warp")
     raw[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
     obj_pool = NodePool(_nodes_of(raw), rng=np.random.default_rng(5))
-    col_pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col_pool = NodePool(from_raw(raw).fresh(),
                         rng=np.random.default_rng(5))
     assert _drive(obj_pool) == _drive(col_pool)
 
@@ -225,7 +233,7 @@ def test_acquired_view_identity_is_stable():
     """The pool hands out ONE ColumnNode per id (cursor aliasing would
     corrupt scans if two views existed for one node)."""
     raw = [(np.array([0.0]), np.array([1e9]), 1.0, "a")]
-    pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    pool = NodePool(from_raw(raw).fresh(),
                     rng=np.random.default_rng(0))
     node, _end = pool.acquire(0.0)
     pool.release(node, 1.0)
@@ -238,7 +246,7 @@ def test_cloud_nodes_coexist_with_columnar_members():
     cloud-vs-regular pick still works over columnar members."""
     raw = [(np.array([0.0]), np.array([1e9]), 1.0, f"h{i}")
            for i in range(3)]
-    pool = NodePool(NodeColumns.from_raw(raw).fresh(),
+    pool = NodePool(from_raw(raw).fresh(),
                     rng=np.random.default_rng(1),
                     cloud_poll_weight=10.0)
     cloud = Node.stable(10_000, 5.0)
@@ -276,7 +284,7 @@ def test_epoch_merge_replays_the_all_heap_pool(fleet, seed, data):
             1000.0, "grid") for ivs in fleet]
     nodes = _nodes_of(raw)
     obj = NodePool(nodes, rng=np.random.default_rng(seed))
-    col = NodePool(NodeColumns.from_raw(raw).fresh(),
+    col = NodePool(from_raw(raw).fresh(),
                    rng=np.random.default_rng(seed))
     held = {id(obj): [], id(col): []}
     t = 0.0
@@ -330,7 +338,7 @@ def test_pool_from_filing_replays_fresh_filing_exactly():
     degenerate[4] = (np.array([-5.0, 2.0]), np.array([0.0, 6.0]), 2.0, "w")
     degenerate[7] = (np.array([-3.0]), np.array([-2.0]), 1.0, "gone")
     for raw in (_fleet_raw(300, n=40), degenerate):
-        template = NodeColumns.from_raw(raw)
+        template = from_raw(raw)
         filing = NodePool.file(template)
         assert np.array_equal(template.cursor, template.offsets[:-1])
         fresh = NodePool(template.fresh(),

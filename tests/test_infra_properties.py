@@ -6,9 +6,10 @@ The drift goldens pin end-to-end results; these tests pin the
 re-associates a float sum or drops a boundary case fails here with a
 usable message instead of as an opaque golden diff:
 
-* ``intervals.intersect`` (searchsorted pair enumeration) against the
+* ``gantt.intersect_gated`` (one node's segmented pass) against the
   historical two-pointer merge;
-* ``gantt.gate_windows`` (arange form) against the per-step loop;
+* ``gantt.gate_matrix`` (every node's arange-form windows at once)
+  against the per-step loop;
 * ``RenewalTraceGenerator``'s bulk boundary assembly + clipping
   against a scalar per-node walk using the same float association.
 """
@@ -21,9 +22,11 @@ from hypothesis import strategies as st
 
 from repro.infra import intervals as iv
 from repro.infra.catalog import get_trace_spec
-from repro.infra.gantt import gate_windows
+from repro.infra.gantt import gate_matrix, intersect_gated
+from repro.infra.intervals import FlatTrace
 from repro.infra.renewal import RenewalTraceGenerator
 from oracles.intervals import intersect_scalar
+from oracles.traces import nodes_of
 
 
 # --------------------------------------------------------------- helpers
@@ -34,6 +37,14 @@ def _interval_set(rng, n):
     return bounds[0::2], bounds[1::2]
 
 
+def _intersect(s1, e1, s2, e2):
+    """One node's intervals gated by one unpadded row of windows."""
+    trace = FlatTrace(s1, e1, np.array([0, len(s1)]), np.array([1.0]),
+                      ("",))
+    out = intersect_gated(trace, s2[None, :], e2[None, :])
+    return out.starts, out.ends
+
+
 # ------------------------------------------------------------- intersect
 @given(seed=st.integers(0, 2**32 - 1),
        n1=st.integers(0, 40), n2=st.integers(0, 40))
@@ -42,7 +53,7 @@ def test_intersect_matches_two_pointer_reference(seed, n1, n2):
     rng = np.random.default_rng(seed)
     s1, e1 = _interval_set(rng, n1)
     s2, e2 = _interval_set(rng, n2)
-    vs, ve = iv.intersect(s1, e1, s2, e2)
+    vs, ve = _intersect(s1, e1, s2, e2)
     rs, re_ = intersect_scalar(s1, e1, s2, e2)
     assert vs.tobytes() == rs.tobytes()
     assert ve.tobytes() == re_.tobytes()
@@ -50,8 +61,8 @@ def test_intersect_matches_two_pointer_reference(seed, n1, n2):
 
 def test_intersect_with_touching_boundaries_emits_nothing():
     # adjacent-only overlap (hi == lo) must not produce empty intervals
-    s, e = iv.intersect(np.array([0.0, 10.0]), np.array([5.0, 15.0]),
-                        np.array([5.0]), np.array([10.0]))
+    s, e = _intersect(np.array([0.0, 10.0]), np.array([5.0, 15.0]),
+                      np.array([5.0]), np.array([10.0]))
     assert s.size == 0 and e.size == 0
 
 
@@ -83,19 +94,24 @@ def _gate_windows_scalar(threshold, period, phase, horizon,
     return np.asarray(starts), np.asarray(ends)
 
 
-@given(seed=st.integers(0, 2**32 - 1))
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
 @settings(max_examples=150, deadline=None)
-def test_gate_windows_matches_scalar_loop(seed):
+def test_gate_windows_matches_scalar_loop(seed, n):
     rng = np.random.default_rng(seed)
-    thr = float(rng.random())
     period = float(rng.uniform(10.0, 2e5))
     phase = float(rng.uniform(0.0, 2.0 * math.pi))
     horizon = float(rng.uniform(50.0, 2e6))
     depth = float(rng.uniform(0.05, 1.0))
-    vs, ve = gate_windows(thr, period, phase, horizon, depth=depth)
-    rs, re_ = _gate_windows_scalar(thr, period, phase, horizon, depth=depth)
-    assert vs.tobytes() == rs.tobytes()
-    assert ve.tobytes() == re_.tobytes()
+    gs, ge = gate_matrix(n, period, phase, horizon, depth=depth)
+    for i in range(n):
+        real = np.isfinite(gs[i])
+        # padding: arcs ending before t=0 lead, empty slots trail
+        assert np.all(gs[i][~real] == ge[i][~real])
+        assert real.sum() == np.isfinite(ge[i]).sum()
+        rs, re_ = _gate_windows_scalar((i + 0.5) / n, period, phase,
+                                       horizon, depth=depth)
+        assert gs[i][real].tobytes() == rs.tobytes()
+        assert ge[i][real].tobytes() == re_.tobytes()
 
 
 # ------------------------------------------------------- renewal bulk path
@@ -179,7 +195,7 @@ def test_generate_bulk_and_fallback_agree_on_interval_invariants():
     clipped to [0, horizon], whichever path produced it."""
     spec = get_trace_spec("nd")
     rng = np.random.default_rng(11)
-    nodes = spec.materialize(rng, horizon=86400.0, max_nodes=60)
+    nodes = nodes_of(spec.materialize(rng, horizon=86400.0, max_nodes=60))
     assert nodes
     for node in nodes:
         iv.validate(node.starts, node.ends)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.infra import intervals as iv
 from repro.infra.catalog import TRACE_NAMES, get_trace_spec, list_trace_specs
-from repro.infra.gantt import GanttTraceGenerator, gate_windows
+from repro.infra.columns import NodeColumns
+from repro.infra.gantt import GanttTraceGenerator
 from repro.infra.quantile import PiecewiseLogQuantile
 from repro.infra.renewal import RenewalTraceGenerator, stationary_availability
-from repro.infra.spot import SpotMarket, SpotMarketParams, spot_intervals, spot_nodes
+from repro.infra.spot import SpotMarket, SpotMarketParams, spot_intervals, spot_trace
 from repro.infra.stats import available_count_series, measure_trace
+from oracles.traces import gate_windows, intersect, nodes_of
 
 DAY = 86400.0
 
@@ -24,21 +26,21 @@ def small_renewal(power_std=0.0):
 
 # ---------------------------------------------------------------- intervals
 def test_intersect_basic():
-    s, e = iv.intersect(np.array([0.0, 20.0]), np.array([10.0, 30.0]),
-                        np.array([5.0]), np.array([25.0]))
+    s, e = intersect(np.array([0.0, 20.0]), np.array([10.0, 30.0]),
+                     np.array([5.0]), np.array([25.0]))
     assert list(s) == [5.0, 20.0]
     assert list(e) == [10.0, 25.0]
 
 
 def test_intersect_disjoint():
-    s, e = iv.intersect(np.array([0.0]), np.array([10.0]),
-                        np.array([20.0]), np.array([30.0]))
+    s, e = intersect(np.array([0.0]), np.array([10.0]),
+                     np.array([20.0]), np.array([30.0]))
     assert s.size == 0
 
 
 def test_intersect_identity():
     a_s, a_e = np.array([1.0, 5.0]), np.array([3.0, 9.0])
-    s, e = iv.intersect(a_s, a_e, np.array([0.0]), np.array([100.0]))
+    s, e = intersect(a_s, a_e, np.array([0.0]), np.array([100.0]))
     assert np.allclose(s, a_s) and np.allclose(e, a_e)
 
 
@@ -68,7 +70,7 @@ def test_nodes_for_mean_scales_inverse_to_p():
 
 def test_generated_schedules_are_valid_interval_sets():
     gen = small_renewal()
-    nodes = gen.generate(np.random.default_rng(0), 50, 2 * DAY)
+    nodes = nodes_of(gen.generate(np.random.default_rng(0), 50, 2 * DAY))
     assert len(nodes) == 50
     for n in nodes:
         iv.validate(n.starts, n.ends)
@@ -79,15 +81,15 @@ def test_generated_schedules_are_valid_interval_sets():
 def test_generated_mean_count_matches_target():
     gen = small_renewal()
     n_nodes = gen.nodes_for_mean(120)
-    nodes = gen.generate(np.random.default_rng(1), n_nodes, 3 * DAY)
-    counts = available_count_series(nodes, 3 * DAY, step=300.0)
+    trace = gen.generate(np.random.default_rng(1), n_nodes, 3 * DAY)
+    counts = available_count_series(trace, 3 * DAY, step=300.0)
     assert np.mean(counts) == pytest.approx(120, rel=0.15)
 
 
 def test_generation_deterministic_per_seed():
     gen = small_renewal()
-    a = gen.generate(np.random.default_rng(9), 5, DAY)
-    b = gen.generate(np.random.default_rng(9), 5, DAY)
+    a = nodes_of(gen.generate(np.random.default_rng(9), 5, DAY))
+    b = nodes_of(gen.generate(np.random.default_rng(9), 5, DAY))
     for x, y in zip(a, b):
         assert np.allclose(x.starts, y.starts)
         assert np.allclose(x.ends, y.ends)
@@ -113,6 +115,22 @@ def test_invalid_generate_args():
         gen.generate(np.random.default_rng(0), 0, DAY)
     with pytest.raises(ValueError):
         gen.generate(np.random.default_rng(0), 5, 0.0)
+
+
+@pytest.mark.parametrize("power_mean,power_std", [
+    (float("nan"), 0.0), (float("inf"), 0.0), (1000.0, float("nan")),
+    (1000.0, float("inf")), (0.0, 0.0), (1000.0, -1.0)])
+def test_non_finite_or_negative_power_inputs_rejected(power_mean, power_std):
+    av = PiecewiseLogQuantile((100, 300, 900))
+    with pytest.raises(ValueError, match="power"):
+        RenewalTraceGenerator(av, av, power_mean, power_std)
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), 0.0, -5.0])
+def test_node_rejects_non_finite_or_non_positive_power(power):
+    from repro.infra.node import Node
+    with pytest.raises(ValueError, match="power"):
+        Node(0, power, np.array([0.0]), np.array([1.0]))
 
 
 # ------------------------------------------------------------------- gantt
@@ -144,7 +162,7 @@ def test_gate_window_width_decreases_with_threshold():
 
 def test_gantt_generator_respects_gate():
     gen = GanttTraceGenerator(small_renewal(), gate_depth=1.0)
-    nodes = gen.generate(np.random.default_rng(4), 40, 3 * DAY)
+    nodes = nodes_of(gen.generate(np.random.default_rng(4), 40, 3 * DAY))
     for n in nodes:
         iv.validate(n.starts, n.ends)
     # high-threshold nodes participate less
@@ -155,7 +173,7 @@ def test_gantt_generator_respects_gate():
 
 def test_gantt_depth_zero_is_plain_renewal():
     gen = GanttTraceGenerator(small_renewal(), gate_depth=0.0)
-    nodes = gen.generate(np.random.default_rng(5), 10, DAY)
+    nodes = nodes_of(gen.generate(np.random.default_rng(5), 10, DAY))
     assert all(n.starts.size > 0 for n in nodes)
 
 
@@ -202,8 +220,8 @@ def test_spot_correlated_preemption():
 
 def test_spot_nodes_power_distribution():
     m = SpotMarket(np.random.default_rng(4), DAY)
-    nodes = spot_nodes(np.random.default_rng(5), m, 10.0, 3000.0, 300.0)
-    powers = [n.power for n in nodes]
+    trace = spot_trace(np.random.default_rng(5), m, 10.0, 3000.0, 300.0)
+    powers = trace.power
     assert np.mean(powers) == pytest.approx(3000, rel=0.1)
 
 
@@ -244,7 +262,7 @@ def test_catalog_table2_values_verbatim():
 def test_every_spec_materializes_capped():
     rng = np.random.default_rng(8)
     for spec in list_trace_specs():
-        nodes = spec.materialize(rng, DAY, max_nodes=30)
+        nodes = nodes_of(spec.materialize(rng, DAY, max_nodes=30))
         assert 0 < len(nodes) <= 30
         for n in nodes:
             iv.validate(n.starts, n.ends)
@@ -268,9 +286,10 @@ def test_participation_flags():
 # ------------------------------------------------------------------- stats
 def test_available_count_series_simple():
     from repro.infra.node import Node
-    n1 = Node(1, 1000, np.array([0.0]), np.array([1000.0]))
-    n2 = Node(2, 1000, np.array([500.0]), np.array([1500.0]))
-    counts = available_count_series([n1, n2], 2000.0, step=100.0)
+    n1 = Node(0, 1000, np.array([0.0]), np.array([1000.0]))
+    n2 = Node(1, 1000, np.array([500.0]), np.array([1500.0]))
+    counts = available_count_series(NodeColumns.from_nodes([n1, n2]), 2000.0,
+                                    step=100.0)
     assert counts.max() == 2
     assert counts.min() >= 0
 
@@ -278,10 +297,10 @@ def test_available_count_series_simple():
 def test_measure_trace_censors_boundary_intervals():
     from repro.infra.node import Node
     # one giant censored interval + small inner ones
-    n = Node(1, 1000,
+    n = Node(0, 1000,
              np.array([0.0, 5000.0, 5200.0, 5400.0]),
              np.array([4000.0, 5100.0, 5300.0, 6000.0]))
-    st = measure_trace([n], 6000.0, step=100.0)
+    st = measure_trace(NodeColumns.from_nodes([n]), 6000.0, step=100.0)
     # first (4000s) and last intervals excluded; inner are 100s each
     assert st.avail_quartiles[1] == pytest.approx(100.0)
 
@@ -300,7 +319,7 @@ def test_measure_trace_quartiles_close_to_targets():
 @given(seed=st.integers(0, 10_000))
 def test_property_renewal_intervals_sorted_disjoint(seed):
     gen = small_renewal()
-    nodes = gen.generate(np.random.default_rng(seed), 3, DAY)
+    nodes = nodes_of(gen.generate(np.random.default_rng(seed), 3, DAY))
     for n in nodes:
         iv.validate(n.starts, n.ends)
 

@@ -66,6 +66,12 @@ def test_mean_increases_with_tail_factor():
     assert heavy > base
 
 
+@pytest.mark.parametrize("tail", [float("nan"), float("inf")])
+def test_non_finite_tail_factor_rejected(tail):
+    with pytest.raises(ValueError, match="tail_factor"):
+        PiecewiseLogQuantile((10, 100, 1000), tail_factor=tail)
+
+
 def test_invalid_quartiles_rejected():
     with pytest.raises(ValueError):
         PiecewiseLogQuantile((100, 10, 1000))

@@ -156,16 +156,16 @@ def test_trace_cache_is_true_lru(monkeypatch):
         return ("nd", (seed,), 4, horizon)
 
     for seed in (1, 2, 3):
-        cache.materialize("nd", seed, 4, horizon)
+        cache.columns_template("nd", seed, 4, horizon)
     assert cache.keys() == [key(1), key(2), key(3)]
 
     # a hit refreshes recency: key(1) moves to the back...
-    cache.materialize("nd", 1, 4, horizon)
+    cache.columns_template("nd", 1, 4, horizon)
     assert cache.keys() == [key(2), key(3), key(1)]
 
     # ...so a miss evicts the least recently USED (key 2), not the
     # oldest inserted (key 1)
-    cache.materialize("nd", 4, 4, horizon)
+    cache.columns_template("nd", 4, 4, horizon)
     assert key(1) in cache.keys()
     assert key(2) not in cache.keys()
     assert cache.keys() == [key(3), key(1), key(4)]
@@ -177,7 +177,7 @@ def test_trace_cache_capacity_is_env_configurable(monkeypatch):
     cache = TraceCache()
     monkeypatch.setenv("REPRO_TRACE_CACHE", "2")
     for seed in (1, 2, 3):
-        cache.materialize("nd", seed, 4, 3600.0)
+        cache.columns_template("nd", seed, 4, 3600.0)
     assert len(cache) == 2 and cache.evictions == 1
     monkeypatch.delenv("REPRO_TRACE_CACHE")
     assert TraceCache.capacity() == 6  # documented default
@@ -190,24 +190,23 @@ def test_trace_cache_streams_realize_independently():
     collide in the cache nor produce the same realization."""
     from repro.experiments.harness import TraceCache
     cache = TraceCache()
-    a = cache.materialize("nd", 7, 4, 3600.0)
-    b = cache.materialize("nd", 7, 4, 3600.0, stream=(1,))
+    a = cache.columns_template("nd", 7, 4, 3600.0)
+    b = cache.columns_template("nd", 7, 4, 3600.0, stream=(1,))
     assert len(cache) == 2 and cache.misses == 2
-    assert [(n.starts.tolist()) for n in a] != \
-        [(n.starts.tolist()) for n in b]
+    assert a.starts.tolist() != b.starts.tolist()
     assert "2 misses" in cache.summary()
 
 
 def test_trace_cache_hit_reuses_realization_but_rebuilds_nodes():
     from repro.experiments.harness import TraceCache
     cache = TraceCache()
-    a = cache.materialize("nd", 9, 4, 3600.0)
-    b = cache.materialize("nd", 9, 4, 3600.0)
+    a = cache.columns_template("nd", 9, 4, 3600.0)
+    b = cache.columns_template("nd", 9, 4, 3600.0)
     assert len(cache) == 1
     assert cache.hits == 1 and cache.misses == 1
-    # same cached interval arrays back the rebuilt Node objects
-    assert a[0] is not b[0]
-    assert a[0].starts is b[0].starts
+    # same cached interval arrays back both per-execution templates
+    assert a is not b and a.cursor is not b.cursor
+    assert a.starts is b.starts
 
 
 def test_censoring_at_horizon():

@@ -3,11 +3,13 @@ read-only sharing, fingerprint invalidation, and GC."""
 
 import os
 
+import numpy as np
 import pytest
 
 from repro.experiments import trace_store as ts
 from repro.experiments.harness import TraceCache
 from repro.experiments.trace_store import TraceStore
+from repro.infra.intervals import FlatTrace
 
 
 @pytest.fixture
@@ -25,44 +27,43 @@ KEY = ("nd", (7,), 5, 3600.0)
 def _realize(cache=None):
     if cache is None:  # NB: an empty TraceCache is falsy (len == 0)
         cache = TraceCache()
-    return cache.materialize("nd", 7, 5, 3600.0), cache
+    return cache.columns_template("nd", 7, 5, 3600.0), cache
+
+
+def _same_realization(a, b):
+    for name in ("starts", "ends", "offsets", "power"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert tuple(a.tags) == tuple(b.tags)
 
 
 # ------------------------------------------------------------- roundtrip
 def test_save_load_roundtrip_bit_identical(store):
-    nodes, _ = _realize()
+    cols, _ = _realize()
     assert store.saves == 1
-    raw = store.load(KEY)
-    assert raw is not None and len(raw) == len(nodes)
-    for node, (starts, ends, power, tag) in zip(nodes, raw):
-        assert starts.tobytes() == node.starts.tobytes()
-        assert ends.tobytes() == node.ends.tobytes()
-        assert power == node.power
-        assert tag == node.tag
+    flat = store.load_flat(KEY)
+    assert flat is not None and flat.n == len(cols)
+    _same_realization(cols, flat)
 
 
 def test_fresh_cache_promotes_from_disk_without_regenerating(store):
-    nodes1, cache1 = _realize()
+    cols1, cache1 = _realize()
     # a second process is modelled by a fresh L1 over the same store
-    nodes2, cache2 = _realize()
+    cols2, cache2 = _realize()
     assert cache1.disk_hits == 0 and cache1.misses == 1
     assert cache2.disk_hits == 1 and cache2.misses == 1
     assert store.saves == 1          # nothing regenerated or re-saved
-    for a, b in zip(nodes1, nodes2):
-        assert a.starts.tobytes() == b.starts.tobytes()
-        assert a.ends.tobytes() == b.ends.tobytes()
-        assert a.power == b.power and a.tag == b.tag
+    _same_realization(cols1, cols2)
 
 
 def test_missing_key_counts_a_miss(store):
-    assert store.load(("nd", (99,), 5, 3600.0)) is None
+    assert store.load_flat(("nd", (99,), 5, 3600.0)) is None
     assert store.misses == 1
 
 
 def test_save_is_idempotent(store):
     _realize()
-    raw = store.load(KEY)
-    store.save(KEY, raw)
+    flat = store.load_flat(KEY)
+    store.save(KEY, flat)
     assert store.saves == 1
     current, stale = store.entries()
     assert (current, stale) == (1, 0)
@@ -70,18 +71,18 @@ def test_save_is_idempotent(store):
 
 # ------------------------------------------------------------- read-only
 def test_generated_arrays_are_read_only(store):
-    nodes, _ = _realize()
+    cols, _ = _realize()
     with pytest.raises(ValueError):
-        nodes[0].starts[0] = -1.0
+        cols.starts[0] = -1.0
     with pytest.raises(ValueError):
-        nodes[0].ends[0] = -1.0
+        cols.ends[0] = -1.0
 
 
 def test_disk_loaded_arrays_are_read_only(store):
     _realize()
-    nodes, _ = _realize()  # served from disk by a fresh L1
+    cols, _ = _realize()  # served from disk by a fresh L1
     with pytest.raises(ValueError):
-        nodes[0].starts[0] = -1.0
+        cols.starts[0] = -1.0
 
 
 def test_rebuilt_nodes_share_the_cached_arrays(store):
@@ -89,8 +90,8 @@ def test_rebuilt_nodes_share_the_cached_arrays(store):
     cache = TraceCache()
     a, _ = _realize(cache)
     b, _ = _realize(cache)
-    assert a[0] is not b[0]
-    assert a[0].starts is b[0].starts  # zero-copy across executions
+    assert a is not b and a.cursor is not b.cursor
+    assert a.starts is b.starts  # zero-copy across executions
 
 
 # ------------------------------------------------------- invalidation/GC
@@ -99,7 +100,7 @@ def test_stale_fingerprint_entries_are_unreachable_and_gced(store):
     path = store.path_for(KEY)
     stale = path.replace(store.fingerprint + ".npz", "deadbeef0000.npz")
     os.rename(path, stale)
-    assert store.load(KEY) is None          # content-addressed: stale
+    assert store.load_flat(KEY) is None     # content-addressed: stale
     assert store.entries() == (0, 1)
     removed, nbytes = store.gc()
     assert removed == 1 and nbytes > 0
@@ -134,14 +135,18 @@ def test_summary_reports_two_tier_stats(store):
 # ------------------------------------------------------------- mmap path
 def test_load_uses_mmap_not_fallback(store):
     _realize()
-    raw = store.load(KEY)
+    flat = store.load_flat(KEY)
     assert store.mmap_fallbacks == 0
-    assert raw[0][0].base is not None  # views into the mapped archive
+    assert isinstance(flat.starts, np.memmap)  # mapped, not read
 
 
 def test_empty_realization_roundtrips(store):
-    store.save(("empty", (), 0, 1.0), [])
-    assert store.load(("empty", (), 0, 1.0)) == []
+    empty = np.empty(0)
+    store.save(("empty", (), 0, 1.0),
+               FlatTrace(empty, empty, np.zeros(1, dtype=np.int64),
+                         empty, ()))
+    flat = store.load_flat(("empty", (), 0, 1.0))
+    assert flat.n == 0 and flat.starts.size == 0 and flat.tags == ()
 
 
 # ------------------------------------------------------- torn entries
@@ -149,7 +154,7 @@ def test_torn_entry_is_dropped_and_regenerated(store):
     """A stored ``.npz`` cut to half its length (an interrupted copy,
     a full disk) is a miss: counted ``corrupt``, deleted, regenerated
     and re-archived — never a crash of the run that reads it."""
-    nodes, _ = _realize()
+    cols, _ = _realize()
     path = store.path_for(KEY)
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -161,8 +166,7 @@ def test_torn_entry_is_dropped_and_regenerated(store):
     again, cache = _realize()   # a fresh L1 regenerates and re-saves
     assert cache.disk_hits == 0
     assert store.saves == 2 and os.path.exists(path)
-    for a, b in zip(nodes, again):
-        assert a.starts.tobytes() == b.starts.tobytes()
+    _same_realization(cols, again)
     assert "1 corrupt" in store.summary()
 
 
@@ -225,6 +229,7 @@ def test_fingerprint_hashes_exactly_the_generator_modules():
                     todo.extend(a.name + ".py" for a in node.names)
     assert set(ts.GENERATOR_SOURCES) == closure
     assert set(ts.GENERATOR_SOURCES) == {
-        "catalog.py", "gantt.py", "intervals.py", "node.py",
-        "quantile.py", "renewal.py", "spot.py"}
-    assert not {"pool.py", "columns.py"} & set(ts.GENERATOR_SOURCES)
+        "catalog.py", "gantt.py", "intervals.py", "quantile.py",
+        "renewal.py", "spot.py"}
+    assert not {"pool.py", "columns.py", "node.py"} & \
+        set(ts.GENERATOR_SOURCES)
