@@ -59,6 +59,8 @@ class BoTMonitor:
         #: sampled (t, completed, assigned, waiting) series
         self.series: List[Tuple[float, int, int, int]] = []
         self.completed_at_time: Optional[float] = None
+        #: first_half_variance_max once it can no longer change
+        self._half_var_max: Optional[float] = None
 
     # ----------------------------------------------------------- events
     def on_task_arrived(self, gtid: GTID, t: float) -> None:
@@ -133,6 +135,30 @@ class BoTMonitor:
         if c is None or a is None:
             return None
         return c - a
+
+    def first_half_variance_max(self) -> float:
+        """``max(var(x), x = 1 %..50 %)`` over the defined points (0.0
+        if none) — the Execution Variance trigger's reference (§3.5).
+
+        Every grid point reads entry ``k <= ceil(total / 2)`` of the
+        two append-only series, so once both hold that many entries
+        the maximum is final and is memoized.  Before that it is
+        recomputed: under cloud duplication ``ta`` can lag ``tc``
+        (external completions assign nothing).
+        """
+        ref = self._half_var_max
+        if ref is not None:
+            return ref
+        ref = 0.0
+        for pct in range(1, 51):
+            v = self.execution_variance(pct / 100.0)
+            if v is not None and v > ref:
+                ref = v
+        half = math.ceil(0.5 * self.total)
+        if (len(self.completion_times) >= half
+                and len(self.assignment_times) >= half):
+            self._half_var_max = ref
+        return ref
 
     def grid(self) -> np.ndarray:
         """Archived ``tc`` percent grid for this (finished) execution."""

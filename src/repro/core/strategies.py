@@ -105,11 +105,7 @@ class StrategyCombo:
         c = mon.fraction_completed()
         if c <= 0.5:
             return False
-        ref = 0.0
-        for pct in range(1, 51):
-            v = mon.execution_variance(pct / 100.0)
-            if v is not None and v > ref:
-                ref = v
+        ref = mon.first_half_variance_max()
         cur = mon.execution_variance(math.floor(c * 100) / 100.0)
         if cur is None or ref <= 0.0:
             return False

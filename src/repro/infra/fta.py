@@ -78,6 +78,9 @@ def load_trace(path_or_file: Union[str, TextIO],
             except ValueError as exc:
                 raise TraceFormatError(
                     f"line {lineno}: bad interval bounds") from exc
+            if not (math.isfinite(start) and math.isfinite(end)):
+                raise TraceFormatError(
+                    f"line {lineno}: interval bounds must be finite")
             if end <= start:
                 raise TraceFormatError(
                     f"line {lineno}: empty/inverted interval "

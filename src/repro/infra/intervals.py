@@ -14,30 +14,9 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-__all__ = ["FlatTrace", "total_length", "validate"]
+__all__ = ["FlatTrace"]
 
 Arr = np.ndarray
-
-
-def validate(starts: Arr, ends: Arr) -> None:
-    """Raise ValueError unless (starts, ends) is a valid interval set."""
-    starts = np.asarray(starts, dtype=float)
-    ends = np.asarray(ends, dtype=float)
-    if starts.shape != ends.shape:
-        raise ValueError("starts/ends shape mismatch")
-    if starts.size == 0:
-        return
-    if not np.all(ends > starts):
-        raise ValueError("empty or inverted interval present")
-    if not np.all(starts[1:] >= ends[:-1]):
-        raise ValueError("intervals overlap or are unsorted")
-
-
-def total_length(starts: Arr, ends: Arr) -> float:
-    """Sum of interval lengths."""
-    if len(starts) == 0:
-        return 0.0
-    return float(np.sum(np.asarray(ends) - np.asarray(starts)))
 
 
 class FlatTrace(NamedTuple):

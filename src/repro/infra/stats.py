@@ -56,12 +56,12 @@ def available_count_series(trace, horizon: float,
     """
     if horizon <= 0 or step <= 0:
         raise ValueError("horizon and step must be positive")
-    if trace.starts.size == 0:
-        return np.zeros(int(horizon / step) + 1)
     # Sample strictly inside (0, horizon): at t=0 the stationary-start
     # events are still firing and at t=horizon every interval has been
     # clipped shut, so both edges would report spurious zeros.
     grid = np.arange(step, horizon - step / 2, step)
+    if trace.starts.size == 0:
+        return np.zeros(grid.shape[0])
     opened = np.searchsorted(np.sort(trace.starts), grid, side="right")
     closed = np.searchsorted(np.sort(trace.ends), grid, side="right")
     return (opened - closed).astype(float)

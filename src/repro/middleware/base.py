@@ -24,13 +24,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Protocol, Tuple
-
-import numpy as np
+from heapq import heapify, heappop, heappush
+from typing import Deque, Dict, List, Optional, Protocol, Set, Tuple
 
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
-from repro.middleware.columns import TaskColumns
 from repro.simulator.engine import Event, Simulation
 from repro.workload.bot import BagOfTasks, Task
 
@@ -80,14 +78,10 @@ class TaskState:
     afterwards are discarded (counted in
     :attr:`ServerStats.discarded_results`).
 
-    Columnar mirror: a server-admitted state carries ``cols``/``row``
-    pointing into the server's :class:`~repro.middleware.columns.
-    TaskColumns`, and the four mirrored fields (``done``,
-    ``outstanding``, ``first_assign_time``, ``cloud_dups``) must only
-    change through the mutator methods below, which write the object
-    field and the column cell together (the sync invariant the bulk
-    dispatch masks rely on).  A standalone state (``cols is None``)
-    uses the same mutators; they just skip the column write.
+    The Reschedule pick orders tasks by ``cloud_dups`` and
+    ``first_assign_time``; on a server-admitted state those two change
+    only through :meth:`DGServer._mark_assigned` and
+    :meth:`DGServer._add_cloud_dups`, which keep the fetch heap fresh.
     """
 
     gtid: GTID
@@ -96,8 +90,6 @@ class TaskState:
     arrival_time: float = 0.0
     first_assign_time: Optional[float] = None
     completion_time: Optional[float] = None
-    #: replicas/executions currently counted as live by the server
-    outstanding: int = 0
     #: number of live cloud-side duplicates (Reschedule bookkeeping)
     cloud_dups: int = 0
     #: node ids that ever received this task (BOINC one-result-per-user)
@@ -106,30 +98,6 @@ class TaskState:
     ok_results: int = 0
     #: whether the task currently sits in the pending queue (XWHEP)
     queued: bool = False
-    #: columnar mirror handle (set at admission by the server)
-    cols: Optional[TaskColumns] = None
-    row: int = -1
-
-    # -- mirrored-field mutators (the only legal write sites) ----------
-    def mark_done(self) -> None:
-        self.done = True
-        if self.cols is not None:
-            self.cols.done[self.row] = True
-
-    def add_outstanding(self, delta: int) -> None:
-        self.outstanding += delta
-        if self.cols is not None:
-            self.cols.outstanding[self.row] += delta
-
-    def set_first_assign(self, t: float) -> None:
-        self.first_assign_time = t
-        if self.cols is not None:
-            self.cols.first_assign[self.row] = t
-
-    def add_cloud_dups(self, delta: int) -> None:
-        self.cloud_dups += delta
-        if self.cols is not None:
-            self.cols.cloud_dups[self.row] += delta
 
 
 class _BotProgress:
@@ -179,9 +147,19 @@ class DGServer:
         self.name = name
         self.stats = ServerStats()
         self.tasks: Dict[GTID, TaskState] = {}
-        #: columnar mirror of dispatch-relevant task fields (one row
-        #: per admitted task, appended in _arrive_one)
-        self.task_cols = TaskColumns()
+        #: arrived, not-yet-done tasks: the Reschedule candidates
+        self._incomplete: Set[TaskState] = set()
+        # Lazily-invalidated min-heap over the Reschedule candidates,
+        # entries (*_fetch_key(st), seq, st).  None until the first
+        # candidate pick builds it from _incomplete, so servers that
+        # never serve a Reschedule worker push nothing.  Once built,
+        # every key change of an incomplete task pushes a fresh entry
+        # (_mark_assigned, _add_cloud_dups), so the least fresh entry
+        # IS the argmin over _incomplete; outdated entries are dropped
+        # when popped.  seq breaks ties between entries of one task
+        # before the (uncomparable) TaskState is reached.
+        self._fetch_heap: Optional[List[Tuple]] = None
+        self._fetch_seq = 0
         self.pending: Deque = deque()
         self.observers: List[ServerObserver] = []
         #: per observer (parallel to ``observers``): its methods bound
@@ -237,9 +215,11 @@ class DGServer:
     def _arrive_one(self, bot_id: str, task: Task) -> None:
         t = self.sim.now
         gtid = (bot_id, task.task_id)
-        st = TaskState(gtid=gtid, task=task, arrival_time=t,
-                       cols=self.task_cols, row=self.task_cols.add(gtid))
+        st = TaskState(gtid=gtid, task=task, arrival_time=t)
         self.tasks[gtid] = st
+        self._incomplete.add(st)
+        if self._fetch_heap is not None:
+            self._note_fetch_candidate(st)
         prog = self._bots[bot_id]
         prog.arrived += 1
         prog.uncompleted[gtid] = None
@@ -274,13 +254,14 @@ class DGServer:
         """Start the unit on the node (schedule its lifecycle events)."""
         raise NotImplementedError
 
-    def fetch_for_cloud(self, node: Node):
-        """Reschedule strategy: hand a unit to a dedicated cloud worker.
+    def _fetch_eligible(self, st: TaskState, node: Node) -> bool:
+        """Whether a Reschedule duplicate of the (incomplete) task may
+        go to this cloud worker."""
+        raise NotImplementedError
 
-        Must serve pending units first, then duplicates of running
-        work; returns None when nothing useful remains.  The returned
-        unit is *already started* on ``node`` by this call.
-        """
+    def _execute_cloud(self, unit, node: Node, is_dup: bool) -> None:
+        """Start a unit on a dedicated cloud worker; ``is_dup`` marks a
+        duplicate of running work rather than a pending unit."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -337,26 +318,24 @@ class DGServer:
             self._dispatch_scalar()
             return
         plist = list(pending)
-        rows = np.fromiter((st.row for st in plist), dtype=np.int64,
-                           count=n)
-        live_idx = np.flatnonzero(~self.task_cols.done[rows])
-        n_live = int(live_idx.shape[0])
-        if n_live and not self._bulk_eligible(rows, live_idx):
+        live_idx = [i for i, st in enumerate(plist) if not st.done]
+        n_live = len(live_idx)
+        if n_live and not self._bulk_eligible(plist, live_idx):
             self._dispatch_scalar()
             return
         k = n_live
-        if n_live == 0 or int(live_idx[-1]) != n - 1:
+        if n_live == 0 or live_idx[-1] != n - 1:
             k += 1  # trailing done entries cost one set-aside acquire
         got = self.pool.acquire_many(t, k)
         g = len(got)
         s = min(g, n_live)
-        units = [plist[int(i)] for i in live_idx[:s]]
+        units = [plist[i] for i in live_idx[:s]]
         # Consume the queue exactly as the scalar picks would have
         # (before executing: _execute never touches the queue).
         if g == k:
             pending.clear()
         else:
-            cut = int(live_idx[s - 1]) + 1 if s else 0
+            cut = live_idx[s - 1] + 1 if s else 0
             for _ in range(cut):
                 pending.popleft()
         self._consume_bulk(units)
@@ -393,12 +372,13 @@ class DGServer:
         if self.pending:
             self._arm_wakeup()
 
-    def _bulk_eligible(self, rows: np.ndarray,
-                       live_idx: np.ndarray) -> bool:
-        """Whether every live pending entry is consumable by any node
-        the pool may draw — the bulk precondition.  Base: unit picks
-        that never inspect the node (XWHEP FIFO) always qualify;
-        BOINC narrows this (see its override)."""
+    def _bulk_eligible(self, plist: List[TaskState],
+                       live_idx: List[int]) -> bool:
+        """Whether every live pending entry (``plist[i]`` for ``i`` in
+        ``live_idx``) is consumable by any node the pool may draw — the
+        bulk precondition.  Base: unit picks that never inspect the
+        node (XWHEP FIFO) always qualify; BOINC narrows this (see its
+        override)."""
         return True
 
     def _consume_bulk(self, units: List[TaskState]) -> None:
@@ -458,10 +438,11 @@ class DGServer:
             self.stats.cloud_assignments += 1
             self._cloud_busy_since[node.node_id] = t
         st.workers.add(node.node_id)
-        st.add_outstanding(1)
         self._busy[node.node_id] = st.gtid
         if st.first_assign_time is None:
-            st.set_first_assign(t)
+            st.first_assign_time = t  # fetch key moves off inf
+            if self._fetch_heap is not None:
+                self._note_fetch_candidate(st)
             prog = self._bots.get(st.gtid[0])
             if prog is not None:
                 prog.assigned += 1
@@ -508,7 +489,8 @@ class DGServer:
         if st.done:
             return
         t = self.sim.now
-        st.mark_done()
+        st.done = True
+        self._incomplete.discard(st)
         st.completion_time = t
         self.stats.completions += 1
         self._emit("on_task_completed", st.gtid, t)
@@ -527,6 +509,96 @@ class DGServer:
             return False
         self._complete_task(st)
         return True
+
+    # ------------------------------------------------------------------
+    # cloud integration (Reschedule)
+    # ------------------------------------------------------------------
+    def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
+        """Reschedule strategy: hand a unit to a dedicated cloud worker.
+
+        Serves a pending unit first (:meth:`_pick_unit`), then a
+        duplicate of the least-served incomplete task
+        (:meth:`_fetch_candidate_pick`); returns None when nothing
+        useful remains.  The returned unit is *already started* on
+        ``node`` by this call (:meth:`_execute_cloud`).
+        """
+        unit = self._pick_unit(node)
+        if unit is not None:
+            self._execute_cloud(unit, node, False)
+            return unit
+        best = self._fetch_candidate_pick(node)
+        if best is not None:
+            self._execute_cloud(best, node, True)
+        return best
+
+    @staticmethod
+    def _fetch_key(st: TaskState) -> Tuple:
+        """The Reschedule ordering: fewest cloud duplicates, then the
+        oldest first assignment (never assigned last), then gtid — a
+        total order, so set iteration order cannot leak into picks."""
+        return (st.cloud_dups,
+                st.first_assign_time if st.first_assign_time is not None
+                else float("inf"),
+                st.gtid)
+
+    def _note_fetch_candidate(self, st: TaskState) -> None:
+        """Push the task's *current* key onto the (built) fetch heap."""
+        self._fetch_seq += 1
+        heappush(self._fetch_heap, (*self._fetch_key(st),
+                                    self._fetch_seq, st))
+
+    def _add_cloud_dups(self, st: TaskState, delta: int) -> None:
+        """Count a cloud duplicate started (+1) or ended (-1) — with
+        the first assignment in :meth:`_mark_assigned`, the only write
+        site of a fetch-key component."""
+        st.cloud_dups += delta
+        if self._fetch_heap is not None and not st.done:
+            self._note_fetch_candidate(st)
+
+    def _fetch_candidate_pick(self, node: Node) -> Optional[TaskState]:
+        """The :meth:`_fetch_eligible` incomplete task with the least
+        :meth:`_fetch_key`, from the lazily-invalidated heap.
+
+        Completed and outdated entries are dropped; valid entries the
+        hook rejects for *this* node are set aside and pushed back.
+        The first fresh eligible entry is the argmin over
+        ``_incomplete`` (unique gtid tiebreak + every key change
+        pushing a fresh entry).
+        """
+        heap = self._fetch_heap
+        if heap is None or (len(heap) > 64
+                            and len(heap) > 4 * len(self._incomplete)):
+            self._rebuild_fetch_heap()
+            heap = self._fetch_heap
+        key, eligible = self._fetch_key, self._fetch_eligible
+        best: Optional[TaskState] = None
+        stash: List[Tuple] = []
+        while heap:
+            entry = heappop(heap)
+            cand = entry[4]
+            if cand.done:
+                continue  # retired; drop every copy for good
+            if entry[:3] != key(cand):
+                continue  # outdated key; a fresh entry exists below
+            stash.append(entry)  # valid: the heap keeps it
+            if eligible(cand, node):
+                best = cand  # its key changes next; entry dies lazily
+                break
+        for entry in stash:
+            heappush(heap, entry)
+        return best
+
+    def _rebuild_fetch_heap(self) -> None:
+        """Heapify ``_incomplete`` at current keys: the lazy first
+        build, and compaction once outdated entries far outnumber the
+        candidates."""
+        key = self._fetch_key
+        heap = []
+        for st in self._incomplete:
+            self._fetch_seq += 1
+            heap.append((*key(st), self._fetch_seq, st))
+        heapify(heap)
+        self._fetch_heap = heap
 
     # ------------------------------------------------------------------
     # cloud integration (Flat)

@@ -24,10 +24,7 @@ server reacts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import Optional
 
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
@@ -57,7 +54,7 @@ class _Replica:
     """One result instance of a workunit, living on one node."""
 
     __slots__ = ("wu", "node", "remaining", "segment_start",
-                 "timeout_ev", "timed_out", "finished", "is_cloud_fetch")
+                 "timeout_ev", "finished", "is_cloud_fetch")
 
     def __init__(self, wu: TaskState, node: Node):
         self.wu = wu
@@ -65,7 +62,6 @@ class _Replica:
         self.remaining = wu.task.nops
         self.segment_start = 0.0
         self.timeout_ev: Optional[Event] = None
-        self.timed_out = False
         self.finished = False
         self.is_cloud_fetch = False
 
@@ -78,18 +74,6 @@ class BoincServer(DGServer):
                  config: Optional[BoincConfig] = None, name: str = "boinc"):
         super().__init__(sim, pool, name)
         self.config = config or BoincConfig()
-        #: incomplete workunits, for cloud duplication candidate scans
-        self._incomplete: set[TaskState] = set()
-        # Lazily-invalidated min-heap over the cloud-fetch candidates,
-        # keyed (cloud_dups, first_assign_time|inf, gtid) — the naive
-        # scan's ordering.  Invariant: every key change of an
-        # incomplete workunit pushes a fresh entry (_note_fetch_
-        # candidate), so the least fresh entry IS the scan's argmin;
-        # outdated entries are skipped (and dropped) when popped.  The
-        # seq field breaks ties between duplicate entries of one
-        # workunit before the (uncomparable) TaskState is reached.
-        self._fetch_heap: List[Tuple] = []
-        self._fetch_seq = 0
         # The big same-instant producers: every replica assigned during
         # an arrival storm schedules its delay_bound timer at the same
         # future instant, and node churn lands suspend/resume waves on
@@ -105,8 +89,6 @@ class BoincServer(DGServer):
     # ------------------------------------------------------------------
     def _enqueue_new(self, st: TaskState) -> None:
         """Issue ``target_nresults`` replicas of a fresh workunit."""
-        self._incomplete.add(st)
-        self._note_fetch_candidate(st)
         for _ in range(self.config.target_nresults):
             self.pending.append(st)
 
@@ -118,6 +100,9 @@ class BoincServer(DGServer):
             return False
         return True
 
+    #: the Reschedule pick obeys the same one-result-per-user rule
+    _fetch_eligible = _eligible
+
     def _pick_unit(self, node: Node) -> Optional[TaskState]:
         pending = self.pending
         while pending and pending[0].done:
@@ -128,16 +113,16 @@ class BoincServer(DGServer):
                 return wu
         return None
 
-    def _bulk_eligible(self, rows, live_idx) -> bool:
+    def _bulk_eligible(self, plist, live_idx) -> bool:
         """Bulk precondition: every live pending workunit is fresh.
 
         With ``one_result_per_user_per_wu`` off the scan never rejects
         a node, so any queue qualifies.  Otherwise the queue qualifies
-        when no live pending workunit has a ``first_assign_time``
-        (NaN in the column mirror): freshness means empty ``workers``
-        sets — both only change together in ``_mark_assigned`` and are
-        never reset — so the first drawn node matches the FIFO-first
-        live unit.  Induction over the pass: nodes drawn within one
+        when no live pending workunit has a ``first_assign_time``:
+        freshness means empty ``workers`` sets — both only change
+        together in ``_mark_assigned`` and are never reset — so the
+        first drawn node matches the FIFO-first live unit.  Induction
+        over the pass: nodes drawn within one
         :meth:`~repro.infra.pool.NodePool.acquire_many` batch are
         pairwise distinct (an acquired node re-enters the pool only
         via a release, and the bulk pass releases nothing until all
@@ -146,19 +131,14 @@ class BoincServer(DGServer):
         the ``i+1``-th node — the eligibility scan again matches the
         first live unit, exactly like the scalar interleaving.  A
         replica re-queued by a timeout has a first assignment, fails
-        the NaN test, and routes the whole pass to the scalar loop.
+        the test, and routes the whole pass to the scalar loop.
         """
         if not self.config.one_result_per_user_per_wu:
             return True
-        fa = self.task_cols.first_assign
-        return bool(np.isnan(fa[rows[live_idx]]).all())
+        return all(plist[i].first_assign_time is None for i in live_idx)
 
     def _execute(self, wu: TaskState, node: Node, interval_end: float) -> None:
-        t = self.sim.now
-        fresh_fat = wu.first_assign_time is None
         self._mark_assigned(wu, node)
-        if fresh_fat:  # first assignment moved the fetch key off inf
-            self._note_fetch_candidate(wu)
         rep = _Replica(wu, node)
         rep.timeout_ev = self.sim.schedule(self.config.delay_bound,
                                            self._timeout, rep)
@@ -209,19 +189,14 @@ class BoincServer(DGServer):
         if rep.timeout_ev is not None:
             rep.timeout_ev.cancel()
         self._node_freed(rep.node)
-        if not rep.timed_out:
-            wu.add_outstanding(-1)
         if rep.is_cloud_fetch:
-            wu.add_cloud_dups(-1)
-            if not wu.done:  # key shrank; completion below retires it
-                self._note_fetch_candidate(wu)
+            self._add_cloud_dups(wu, -1)
         if wu.done:
             self.stats.discarded_results += 1
         else:
             wu.ok_results += 1
             if wu.ok_results >= self.config.min_quorum:
                 self._complete_task(wu)
-                self._incomplete.discard(wu)
         self.pool.release(rep.node, t)
         self._dispatch()
 
@@ -263,9 +238,7 @@ class BoincServer(DGServer):
         (it may still return later) and generate a replacement."""
         if rep.finished or rep.wu.done:
             return
-        rep.timed_out = True
         wu = rep.wu
-        wu.add_outstanding(-1)
         self.stats.timeouts += 1
         if wu.ok_results < self.config.min_quorum:
             self.stats.reissues += 1
@@ -273,102 +246,16 @@ class BoincServer(DGServer):
             self._dispatch()
 
     # ------------------------------------------------------------------
-    def external_complete(self, gtid, t) -> bool:
-        news = super().external_complete(gtid, t)
-        if news:
-            self._incomplete.discard(self.tasks[gtid])
-        return news
-
-    # ------------------------------------------------------------------
     # Reschedule-strategy cloud interface
     # ------------------------------------------------------------------
-    def _fetch_key(self, wu: TaskState) -> Tuple:
-        """The candidate ordering of the historical min-scan."""
-        return (wu.cloud_dups,
-                wu.first_assign_time if wu.first_assign_time is not None
-                else float("inf"),
-                wu.gtid)
-
-    def _note_fetch_candidate(self, wu: TaskState) -> None:
-        """Push the workunit's *current* key onto the fetch heap.
-
-        Called at every site that changes a key component while the
-        workunit is incomplete (enqueue, first assignment, cloud-dup
-        start/return) — the freshness invariant the heap pick relies
-        on.  Old entries are not removed; :meth:`fetch_for_cloud`
-        drops them when they surface.
-        """
-        self._fetch_seq += 1
-        heappush(self._fetch_heap, (*self._fetch_key(wu),
-                                    self._fetch_seq, wu))
-
-    def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
-        """Serve a dedicated cloud worker: pending replicas first, then
-        an extra replica of the least-served incomplete workunit.
-
-        The candidate pick pops the lazily-invalidated heap instead of
-        scanning ``_incomplete``: outdated and completed entries are
-        dropped, entries ineligible for *this* node (one-result-per-
-        user) are set aside and pushed back, and the first fresh
-        eligible entry is exactly the scan's argmin (unique gtid
-        tiebreak + the freshness invariant).
-        """
-        wu = self._pick_unit(node)
-        if wu is not None:
-            self._execute_cloud(wu, node)
-            return wu
-        best = self._fetch_candidate_pick(node)
-        if best is None:
-            return None
-        self._execute_cloud(best, node)
-        return best
-
-    def _fetch_candidate_pick(self, node: Node) -> Optional[TaskState]:
-        """Heap-based candidate pick — equals the naive scan's argmin."""
-        heap = self._fetch_heap
-        if len(heap) > 64 and len(heap) > 4 * len(self._incomplete):
-            self._rebuild_fetch_heap()
-            heap = self._fetch_heap
-        one_per_user = self.config.one_result_per_user_per_wu
-        nid = node.node_id
-        best: Optional[TaskState] = None
-        stash: List[Tuple] = []
-        while heap:
-            entry = heappop(heap)
-            cand = entry[4]
-            if cand.done:
-                continue  # retired; drop every copy for good
-            if (entry[0] != cand.cloud_dups
-                    or entry[1] != (cand.first_assign_time
-                                    if cand.first_assign_time is not None
-                                    else float("inf"))):
-                continue  # outdated key; a fresh entry exists below
-            if one_per_user and nid in cand.workers:
-                stash.append(entry)  # valid, just not for this node
-                continue
-            best = cand
-            stash.append(entry)  # key changes next; entry dies lazily
-            break
-        for entry in stash:
-            heappush(heap, entry)
-        return best
-
-    def _rebuild_fetch_heap(self) -> None:
-        """Compact away accumulated outdated entries (heuristic,
-        triggered when the heap far outgrows the candidate set)."""
-        self._fetch_heap = []
-        for wu in self._incomplete:
-            self._fetch_seq += 1
-            self._fetch_heap.append((*self._fetch_key(wu),
-                                     self._fetch_seq, wu))
-        heapify(self._fetch_heap)
-
-    def _execute_cloud(self, wu: TaskState, node: Node) -> None:
-        """Start an extra replica on a dedicated (stable) cloud worker."""
+    def _execute_cloud(self, wu: TaskState, node: Node,
+                       is_dup: bool) -> None:
+        """Start an extra replica on a dedicated (stable) cloud worker.
+        A pending replica and a duplicate start the same way: every
+        cloud-fetched replica counts as a cloud duplicate."""
         self._mark_assigned(wu, node)
         rep = _Replica(wu, node)
         rep.is_cloud_fetch = True
-        wu.add_cloud_dups(1)
-        self._note_fetch_candidate(wu)  # cloud_dups moved the key up
+        self._add_cloud_dups(wu, 1)
         # Stable workers cannot miss delay_bound; no timer needed.
         self._progress(rep, float("inf"))

@@ -48,8 +48,6 @@ class XWHepServer(DGServer):
                  config: Optional[XWHepConfig] = None, name: str = "xwhep"):
         super().__init__(sim, pool, name)
         self.config = config or XWHepConfig()
-        #: incomplete tasks, for cloud duplication candidate scans
-        self._incomplete: set[TaskState] = set()
         # Same-instant preemption waves (a DCI-wide availability edge
         # kills many pilot jobs at once) and the detection tick 900 s
         # later batch through the engine; handlers replay the per-event
@@ -61,7 +59,6 @@ class XWHepServer(DGServer):
     # base hooks
     # ------------------------------------------------------------------
     def _enqueue_new(self, st: TaskState) -> None:
-        self._incomplete.add(st)
         st.queued = True
         self.pending.append(st)
 
@@ -101,14 +98,12 @@ class XWHepServer(DGServer):
     def _finish(self, st: TaskState, node: Node, is_dup: bool) -> None:
         t = self.sim.now
         self._node_freed(node)
-        st.add_outstanding(-1)
         if is_dup:
-            st.add_cloud_dups(-1)
+            self._add_cloud_dups(st, -1)
         if st.done:
             self.stats.discarded_results += 1
         else:
             self._complete_task(st)
-            self._incomplete.discard(st)
         self.pool.release(node, t)
         self._dispatch()
 
@@ -119,9 +114,8 @@ class XWHepServer(DGServer):
         t = self.sim.now
         self._node_freed(node)
         self.stats.preemptions += 1
-        st.add_outstanding(-1)
         if is_dup:
-            st.add_cloud_dups(-1)
+            self._add_cloud_dups(st, -1)
         self.pool.preempted(node, t)
         self.sim.schedule(self.config.worker_timeout, self._detect, st)
         self._dispatch()
@@ -166,37 +160,14 @@ class XWHepServer(DGServer):
         self._dispatch()
 
     # ------------------------------------------------------------------
-    # task completion cleanup shared with external completions
-    # ------------------------------------------------------------------
-    def external_complete(self, gtid, t) -> bool:
-        news = super().external_complete(gtid, t)
-        if news:
-            self._incomplete.discard(self.tasks[gtid])
-        return news
-
-    # ------------------------------------------------------------------
     # Reschedule-strategy cloud interface
     # ------------------------------------------------------------------
-    def fetch_for_cloud(self, node: Node) -> Optional[TaskState]:
-        """Serve a dedicated cloud worker: pending tasks first, then a
-        duplicate of the least-served uncompleted task (§3.5 R)."""
-        st = self._pick_unit(node)
-        if st is not None:
-            self._execute(st, node, float("inf"))
-            return st
-        best: Optional[TaskState] = None
-        best_key = None
-        for cand in self._incomplete:
-            if cand.done or cand.queued:
-                continue
-            key = (cand.cloud_dups,
-                   cand.first_assign_time if cand.first_assign_time
-                   is not None else float("inf"),
-                   cand.gtid)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-        if best is None:
-            return None
-        best.add_cloud_dups(1)
-        self._execute(best, node, float("inf"), is_dup=True)
-        return best
+    def _fetch_eligible(self, st: TaskState, node: Node) -> bool:
+        """A queued task gets no duplicate: it will run anyway."""
+        return not st.queued
+
+    def _execute_cloud(self, st: TaskState, node: Node,
+                       is_dup: bool) -> None:
+        if is_dup:
+            self._add_cloud_dups(st, 1)
+        self._execute(st, node, float("inf"), is_dup)

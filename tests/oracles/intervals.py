@@ -1,5 +1,6 @@
-"""Two-pointer interval intersection (reference for
-:func:`repro.infra.intervals.intersect`)."""
+"""Interval-set helpers for tests: the two-pointer intersection (the
+reference the segmented gate pass is pinned against), a validity check
+and a total length."""
 
 from typing import Tuple
 
@@ -27,3 +28,25 @@ def intersect_scalar(s1: Arr, e1: Arr, s2: Arr, e2: Arr) -> Tuple[Arr, Arr]:
         else:
             j += 1
     return np.asarray(out_s), np.asarray(out_e)
+
+
+def validate(starts: Arr, ends: Arr) -> None:
+    """Raise ValueError unless (starts, ends) is a valid interval set:
+    parallel arrays of non-empty, sorted, pairwise disjoint intervals."""
+    starts = np.asarray(starts, dtype=float)
+    ends = np.asarray(ends, dtype=float)
+    if starts.shape != ends.shape:
+        raise ValueError("starts/ends shape mismatch")
+    if starts.size == 0:
+        return
+    if not np.all(ends > starts):
+        raise ValueError("empty or inverted interval present")
+    if not np.all(starts[1:] >= ends[:-1]):
+        raise ValueError("intervals overlap or are unsorted")
+
+
+def total_length(starts: Arr, ends: Arr) -> float:
+    """Sum of interval lengths."""
+    if len(starts) == 0:
+        return 0.0
+    return float(np.sum(np.asarray(ends) - np.asarray(starts)))

@@ -78,6 +78,14 @@ def test_fta_rejects_non_finite_power(power):
         load_trace(io.StringIO(f"0 0 10 {power}\n"))
 
 
+@pytest.mark.parametrize("line", ["0 nan 10", "0 0 nan", "0 0 inf",
+                                  "0 -inf 10", "0 nan nan"])
+def test_fta_rejects_non_finite_bounds(line):
+    with pytest.raises(TraceFormatError,
+                       match="line 2: interval bounds must be finite"):
+        load_trace(io.StringIO(f"# header\n{line}\n"))
+
+
 def test_fta_rejects_empty():
     with pytest.raises(TraceFormatError):
         load_trace(io.StringIO("# nothing here\n"))

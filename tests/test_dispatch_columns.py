@@ -1,6 +1,6 @@
 """Transcript-equality pins for the vectorized dispatch plane.
 
-Three layers of PR-playbook pins:
+Two layers of pins:
 
 * ``acquire_many`` vs ``k`` sequential scalar ``acquire`` calls — the
   RNG draw sequence and the returned (node, end) pairs must be
@@ -8,10 +8,7 @@ Three layers of PR-playbook pins:
 * bulk ``_dispatch`` vs the kept scalar reference ``_dispatch_scalar``
   — two identical worlds, one with the bulk path disabled, must emit
   identical observer-event transcripts, stats, event counts and final
-  RNG states for both middleware models;
-* the ``TaskColumns``/``TaskState`` sync invariant — after arbitrary
-  middleware churn, every mirrored column cell equals its object
-  field.
+  RNG states for both middleware models.
 """
 
 import numpy as np
@@ -22,8 +19,6 @@ from hypothesis import strategies as st
 from repro.infra.node import Node
 from repro.infra.pool import NodePool
 from repro.middleware import make_server
-from repro.middleware.base import TaskState
-from repro.middleware.columns import TaskColumns
 from repro.simulator.engine import Simulation
 from repro.workload.bot import BagOfTasks, Task
 from oracles.traces import from_raw
@@ -102,8 +97,7 @@ def _run_world(kind: str, bulk: bool, fleet_seed: int, n_nodes: int,
     server.submit_bot(_bot(bot_seed, bot_size), at=0.0)
     sim.run()
     return (rec.events, vars(server.stats).copy(),
-            pool._rng.bit_generator.state, sim.events_processed, sim.now,
-            server)
+            pool._rng.bit_generator.state, sim.events_processed, sim.now)
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +157,10 @@ def test_bulk_dispatch_transcript_equals_scalar(kind, fleet_seed, n_nodes,
     with every node available so the ready-hint actually routes the
     storm to the bulk pass (scattered fleets mostly exercise the
     hint's scalar routing)."""
-    ev_b, stats_b, rng_b, n_b, now_b, _ = _run_world(
+    ev_b, stats_b, rng_b, n_b, now_b = _run_world(
         kind, True, fleet_seed, n_nodes, rng_seed, bot_seed, bot_size,
         ready_at_zero=ready_zero)
-    ev_s, stats_s, rng_s, n_s, now_s, _ = _run_world(
+    ev_s, stats_s, rng_s, n_s, now_s = _run_world(
         kind, False, fleet_seed, n_nodes, rng_seed, bot_seed, bot_size,
         ready_at_zero=ready_zero)
     assert ev_b == ev_s
@@ -189,60 +183,6 @@ def test_bulk_dispatch_path_actually_taken(kind, monkeypatch):
     _run_world(kind, True, fleet_seed=7, n_nodes=8, rng_seed=1,
                bot_seed=3, bot_size=10, ready_at_zero=True)
     assert batches
-
-
-# ---------------------------------------------------------------------------
-# TaskColumns / TaskState sync invariant
-# ---------------------------------------------------------------------------
-def _assert_in_sync(server):
-    cols = server.task_cols
-    assert len(cols) == len(server.tasks)
-    for st_ in server.tasks.values():
-        assert cols.gtids[st_.row] == st_.gtid
-        assert bool(cols.done[st_.row]) == st_.done
-        assert int(cols.outstanding[st_.row]) == st_.outstanding
-        assert int(cols.cloud_dups[st_.row]) == st_.cloud_dups
-        fa = cols.first_assign[st_.row]
-        if st_.first_assign_time is None:
-            assert np.isnan(fa)
-        else:
-            assert fa == st_.first_assign_time
-
-
-@settings(max_examples=20, deadline=None)
-@given(kind=st.sampled_from(["boinc", "xwhep"]),
-       fleet_seed=st.integers(0, 300), rng_seed=st.integers(0, 300),
-       bot_seed=st.integers(0, 300), bot_size=st.integers(1, 10))
-def test_task_columns_stay_in_sync_under_churn(kind, fleet_seed, rng_seed,
-                                               bot_seed, bot_size):
-    """After a full run — assignments, suspensions, preemptions,
-    timeouts, reissues, completions — every mirrored column cell
-    equals its TaskState field (the HandleLedger-style invariant)."""
-    *_, server = _run_world(kind, True, fleet_seed, 6, rng_seed,
-                            bot_seed, bot_size)
-    _assert_in_sync(server)
-
-
-def test_task_columns_grow_by_doubling():
-    cols = TaskColumns()
-    cap0 = cols.done.shape[0]
-    for i in range(cap0 + 1):
-        row = cols.add(("b", i))
-        assert row == i
-    assert cols.done.shape[0] == 2 * cap0
-    assert len(cols) == cap0 + 1
-    assert not cols.done[:cap0 + 1].any()
-    assert np.isnan(cols.first_assign[:cap0 + 1]).all()
-
-
-def test_standalone_task_state_mutators_work_without_columns():
-    st_ = TaskState(gtid=("b", 0), task=Task(task_id=0, nops=1.0))
-    st_.add_outstanding(1)
-    st_.set_first_assign(5.0)
-    st_.add_cloud_dups(1)
-    st_.mark_done()
-    assert (st_.outstanding, st_.first_assign_time,
-            st_.cloud_dups, st_.done) == (1, 5.0, 1, True)
 
 
 # ---------------------------------------------------------------------------

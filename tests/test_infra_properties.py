@@ -20,12 +20,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.infra import intervals as iv
 from repro.infra.catalog import get_trace_spec
 from repro.infra.gantt import gate_matrix, intersect_gated
 from repro.infra.intervals import FlatTrace
 from repro.infra.renewal import RenewalTraceGenerator
-from oracles.intervals import intersect_scalar
+from oracles.intervals import intersect_scalar, validate
 from oracles.traces import nodes_of
 
 
@@ -198,7 +197,7 @@ def test_generate_bulk_and_fallback_agree_on_interval_invariants():
     nodes = nodes_of(spec.materialize(rng, horizon=86400.0, max_nodes=60))
     assert nodes
     for node in nodes:
-        iv.validate(node.starts, node.ends)
+        validate(node.starts, node.ends)
         if node.starts.size:
             assert node.starts[0] >= 0.0
             assert node.ends[-1] <= 86400.0

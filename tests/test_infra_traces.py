@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.infra import intervals as iv
 from repro.infra.catalog import TRACE_NAMES, get_trace_spec, list_trace_specs
 from repro.infra.columns import NodeColumns
 from repro.infra.gantt import GanttTraceGenerator
@@ -13,6 +12,7 @@ from repro.infra.quantile import PiecewiseLogQuantile
 from repro.infra.renewal import RenewalTraceGenerator, stationary_availability
 from repro.infra.spot import SpotMarket, SpotMarketParams, spot_intervals, spot_trace
 from repro.infra.stats import available_count_series, measure_trace
+from oracles.intervals import total_length, validate
 from oracles.traces import gate_windows, intersect, nodes_of
 
 DAY = 86400.0
@@ -46,11 +46,11 @@ def test_intersect_identity():
 
 def test_validate_rejects_overlap():
     with pytest.raises(ValueError):
-        iv.validate(np.array([0.0, 5.0]), np.array([6.0, 10.0]))
+        validate(np.array([0.0, 5.0]), np.array([6.0, 10.0]))
 
 
 def test_total_length():
-    assert iv.total_length(np.array([0.0, 10.0]),
+    assert total_length(np.array([0.0, 10.0]),
                            np.array([5.0, 12.0])) == 7.0
 
 
@@ -73,7 +73,7 @@ def test_generated_schedules_are_valid_interval_sets():
     nodes = nodes_of(gen.generate(np.random.default_rng(0), 50, 2 * DAY))
     assert len(nodes) == 50
     for n in nodes:
-        iv.validate(n.starts, n.ends)
+        validate(n.starts, n.ends)
         assert n.starts.size > 0
         assert n.ends[-1] <= 2 * DAY + 1e-9
 
@@ -146,9 +146,9 @@ def test_gate_windows_never_open_above_range():
 
 def test_gate_windows_daily_arcs():
     s, e = gate_windows(0.5, DAY, 0.0, 3 * DAY)
-    iv.validate(s, e)
+    validate(s, e)
     # threshold at the midline: open half of each day
-    assert iv.total_length(s, e) == pytest.approx(1.5 * DAY, rel=0.02)
+    assert total_length(s, e) == pytest.approx(1.5 * DAY, rel=0.02)
     assert 2 <= s.size <= 4
 
 
@@ -156,7 +156,7 @@ def test_gate_window_width_decreases_with_threshold():
     w = []
     for thr in (0.2, 0.5, 0.8):
         s, e = gate_windows(thr, DAY, 0.0, 10 * DAY)
-        w.append(iv.total_length(s, e))
+        w.append(total_length(s, e))
     assert w[0] > w[1] > w[2]
 
 
@@ -164,10 +164,10 @@ def test_gantt_generator_respects_gate():
     gen = GanttTraceGenerator(small_renewal(), gate_depth=1.0)
     nodes = nodes_of(gen.generate(np.random.default_rng(4), 40, 3 * DAY))
     for n in nodes:
-        iv.validate(n.starts, n.ends)
+        validate(n.starts, n.ends)
     # high-threshold nodes participate less
-    lo = iv.total_length(nodes[0].starts, nodes[0].ends)
-    hi = iv.total_length(nodes[-1].starts, nodes[-1].ends)
+    lo = total_length(nodes[0].starts, nodes[0].ends)
+    hi = total_length(nodes[-1].starts, nodes[-1].ends)
     assert lo > hi
 
 
@@ -204,7 +204,7 @@ def test_spot_intervals_nested_by_bid_level():
     """Slot i is live whenever slot i+1 is: lower bids are safer."""
     m = SpotMarket(np.random.default_rng(3), 5 * DAY)
     ivs = spot_intervals(m, 10.0, max_instances=20)
-    lengths = [iv.total_length(s, e) for s, e in ivs]
+    lengths = [total_length(s, e) for s, e in ivs]
     assert all(a >= b - 1e-9 for a, b in zip(lengths, lengths[1:]))
 
 
@@ -265,7 +265,7 @@ def test_every_spec_materializes_capped():
         nodes = nodes_of(spec.materialize(rng, DAY, max_nodes=30))
         assert 0 < len(nodes) <= 30
         for n in nodes:
-            iv.validate(n.starts, n.ends)
+            validate(n.starts, n.ends)
 
 
 def test_natural_node_count_scales():
@@ -292,6 +292,19 @@ def test_available_count_series_simple():
                                     step=100.0)
     assert counts.max() == 2
     assert counts.min() >= 0
+
+
+def test_available_count_series_grid_independent_of_emptiness():
+    from repro.infra.intervals import FlatTrace
+    empty = FlatTrace(np.empty(0), np.empty(0), np.array([0, 0]),
+                      np.array([1000.0]), ("t",))
+    one = FlatTrace(np.array([0.0]), np.array([1000.0]), np.array([0, 1]),
+                    np.array([1000.0]), ("t",))
+    for horizon, step in ((2000.0, 100.0), (3 * DAY, 600.0), (950.0, 100.0)):
+        zeros = available_count_series(empty, horizon, step)
+        assert zeros.shape == available_count_series(one, horizon,
+                                                      step).shape
+        assert not zeros.any()
 
 
 def test_measure_trace_censors_boundary_intervals():
@@ -321,7 +334,7 @@ def test_property_renewal_intervals_sorted_disjoint(seed):
     gen = small_renewal()
     nodes = nodes_of(gen.generate(np.random.default_rng(seed), 3, DAY))
     for n in nodes:
-        iv.validate(n.starts, n.ends)
+        validate(n.starts, n.ends)
 
 
 @settings(max_examples=10, deadline=None)

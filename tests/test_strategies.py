@@ -1,5 +1,7 @@
 """Strategy combinations: parsing, triggers, sizing (§3.5)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.core.strategies import (
     StrategyCombo,
     parse_combo,
 )
+from repro.experiments.config import ExecutionConfig
+from repro.experiments.runner import run_execution
 from repro.workload.bot import BagOfTasks, Task
 
 
@@ -117,6 +121,56 @@ def test_variance_quiet_execution_never_fires():
     completions = [a + 1.0 for a in assignments[:8]]
     mon = monitor(n, completions=completions, assignments=assignments)
     assert not combo.should_start(mon)
+
+
+def _uncached_variance_trigger(combo, mon):
+    """The §3.5 D trigger with its reference maximum recomputed on
+    every call (the historical loop)."""
+    c = mon.fraction_completed()
+    if c <= 0.5:
+        return False
+    ref = 0.0
+    for pct in range(1, 51):
+        v = mon.execution_variance(pct / 100.0)
+        if v is not None and v > ref:
+            ref = v
+    cur = mon.execution_variance(math.floor(c * 100) / 100.0)
+    if cur is None or ref <= 0.0:
+        return False
+    return cur >= combo.variance_factor * ref
+
+
+def test_variance_reference_memoized_only_once_both_halves_final():
+    # 60 % completed but only 40 % assigned (cloud duplication completes
+    # tasks without assigning them): ta(x) is undefined above 40 %
+    mon = monitor(n=10, completions=[1, 2, 3, 4, 5, 6],
+                  assignments=[0, 0, 0, 0])
+    assert mon.first_half_variance_max() == 4.0
+    assert mon._half_var_max is None
+    mon.on_task_first_assigned(("b", 4), 0.0)   # var(50 %) = 5
+    assert mon.first_half_variance_max() == 5.0
+    assert mon._half_var_max == 5.0
+    mon.on_task_first_assigned(("b", 5), 0.0)   # beyond the first half
+    assert mon.first_half_variance_max() == 5.0
+
+
+@pytest.mark.parametrize("strategy", ["D-G-D", "D-C-R"])
+@pytest.mark.parametrize("middleware", ["boinc", "xwhep"])
+def test_memoized_variance_trigger_equals_recomputed(middleware, strategy,
+                                                     monkeypatch):
+    memo_state = []
+    trigger = StrategyCombo._variance_trigger
+
+    def checked(self, mon):
+        memo_state.append(mon._half_var_max is not None)
+        got = trigger(self, mon)
+        assert got == _uncached_variance_trigger(self, mon)
+        return got
+
+    monkeypatch.setattr(StrategyCombo, "_variance_trigger", checked)
+    run_execution(ExecutionConfig("seti", middleware, "SMALL", 3,
+                                  strategy=strategy, bot_size=60))
+    assert any(memo_state), "the memoized reference was never used"
 
 
 # ------------------------------------------------------------------ sizing
